@@ -6,23 +6,19 @@
 // I/O counts translate monotonically into time on an actual storage stack
 // (page cache included — we measure the syscall path, not a cold spindle).
 //
-// Part 1 is the batching/async comparison: external sort and multi-partition
-// run under three I/O tunings — sync (the classic one-block-per-call path),
-// batched (multi-block device calls), and batched+async (read-ahead/write-
-// behind on the background worker) — on a small-block geometry where per-call
-// overhead dominates, i.e. where the EM model's "count block transfers"
-// abstraction is furthest from syscall reality.  Results go to stdout and to
-// BENCH_wallclock.json for trajectory tracking.  The tunings keep the merge
-// fan-in above the run count, so all three modes perform identical I/O
-// totals and the speedup is purely per-call overhead and overlap.  Sharded
-// legs (shard1/2/4) repeat the async tuning through a ShardedBlockDevice
+// Part 1 is the batching comparison: external sort and multi-partition run
+// under two I/O tunings — sync (the classic one-block-per-call path) and
+// batched (multi-block device calls) — on a small-block geometry where
+// per-call overhead dominates, i.e. where the EM model's "count block
+// transfers" abstraction is furthest from syscall reality.  Results go to
+// stdout and to BENCH_wallclock.json for trajectory tracking.  The tunings
+// keep the merge fan-in above the run count, so both modes perform
+// identical I/O totals and the speedup is purely per-call overhead.  Sharded
+// legs (shard1/2/4) repeat the batched tuning through a ShardedBlockDevice
 // striped over D file-backed members: logical I/Os and checksums must not
 // move, and each trajectory row carries the per-pass trace (with per-shard
-// counters and balance) from its final rep.  The uring legs swap the backend
-// for UringBlockDevice (write-behind ring, grouped submission) at the same
-// tuning — another pure-geometry change — and the dsort / multi_select ops
-// add cache-tagged legs where a budget-charged BlockCache serves re-read
-// extents from memory (hits are logged but never change logical I/O counts).
+// counters and balance) from its final rep.  The dsort / multi_select ops
+// run the batched leg alone.
 //
 // Part 2 keeps the original google-benchmark microbenches on the 4 KiB
 // geometry.
@@ -41,9 +37,7 @@
 
 #include "bench_util.hpp"
 #include "core/api.hpp"
-#include "em/block_cache.hpp"
 #include "em/file_io.hpp"
-#include "em/uring_device.hpp"
 #include "service/server.hpp"
 
 namespace emsplit {
@@ -56,13 +50,13 @@ std::string bench_path(const char* tag) {
 }
 
 // ---------------------------------------------------------------------------
-// Part 1: sync vs batched vs async on FileBlockDevice.
+// Part 1: sync vs batched on FileBlockDevice.
 // ---------------------------------------------------------------------------
 
 // Small blocks so the seed's one-syscall-per-block cost dominates: 1M records
 // of 16 bytes over 64-byte blocks is ~260k blocks, >1M syscalls per sort on
 // the sync path.  M = 4096 blocks keeps every mode at one merge pass
-// (runs ~= 65, fan-in >= 127 at stream_blocks() = 32, the largest tuning
+// (runs ~= 65, fan-in >= 127 at batch_blocks() = 32, the largest tuning
 // below).
 constexpr std::size_t kCmpBlockBytes = 64;
 constexpr std::size_t kCmpMemBlocks = 4096;
@@ -84,25 +78,17 @@ std::size_t cmp_records() {
 struct ModeSpec {
   const char* name;
   IoTuning tuning;
-  CpuTuning cpu{1, 1};
   std::size_t shards = 0;        // 0 = plain FileBlockDevice; >= 1 = the
                                  // ShardedBlockDevice facade over D members
                                  // (D = 1 isolates facade dispatch overhead)
   std::size_t stripe_blocks = 8;
-  const char* backend = "file";  // "file" | "uring" (backend is geometry:
-                                 // logical I/Os and checksums cannot move)
-  std::size_t cache_blocks = 0;  // > 0 attaches a BlockCache of that capacity
   std::size_t workers = 0;       // > 0 routes dsort/partition through the
                                  // multi-process distributed path (W is
                                  // geometry: every W must report identical
                                  // logical I/Os and output checksums)
-  bool direct = false;           // probe O_DIRECT on the uring backend
-                                 // (needs 512 | block_bytes; probe-gated —
-                                 // falls back to buffered when refused)
   // Per-leg geometry overrides.  The worker legs need blocks big enough for
-  // the distributed plan's edge/cut tables; the O_DIRECT leg needs a
-  // 512-multiple block size.  Legs that override run their own geometry and
-  // are exempt from the cross-leg determinism reference.
+  // the distributed plan's edge/cut tables.  Legs that override run their
+  // own geometry and are exempt from the cross-leg determinism reference.
   std::size_t block_bytes = kCmpBlockBytes;
   std::size_t mem_blocks = kCmpMemBlocks;
   bool supervised = false;       // arm the round supervisor (retries + hang
@@ -118,10 +104,6 @@ struct ModeResult {
   std::uint64_t checksum = 0;
   bool sorted = false;
   bool shard_sums_ok = true;     // shard_stats() partitions stats() exactly
-  bool uring_native = false;     // ring engaged (vs positional fallback)
-  bool direct_io = false;        // O_DIRECT probe accepted (uring backend)
-  std::uint64_t cache_hits = 0;  // final rep's cache counters
-  std::uint64_t cache_misses = 0;
   std::uint64_t worker_retries = 0;  // re-executed worker I/O (0 unless a
                                      // worker actually failed mid-round)
   std::string passes_json;       // JSON array of the final rep's trace rows
@@ -131,27 +113,10 @@ struct ModeResult {
 // earlier legs always used; shards >= 1 puts the ShardedBlockDevice facade
 // over D FileBlockDevice members, each its own file (the striping is
 // geometry — every logical I/O, and therefore every checksum below, must
-// be unchanged).  backend = "uring" swaps the positional-I/O file backend
-// for the io_uring ring (write-behind slots, grouped submission) — also
-// geometry, also output-invariant.
+// be unchanged).
 std::unique_ptr<BlockDevice> make_cmp_device(const char* tag,
                                              const ModeSpec& mode) {
-  const bool uring = std::string(mode.backend) == "uring";
-  const auto make_member = [&](const std::string& path)
-      -> std::unique_ptr<BlockDevice> {
-    if (uring) {
-      // Bench ring geometry: submit_batch == write_behind so a write almost
-      // never pays its own io_uring_enter — queued write SQEs ride along on
-      // the next read's submit-and-wait enter (reads and writes alternate in
-      // every pass here), and a pure write burst still amortizes one enter
-      // over 16 transfers.
-      UringBlockDevice::Tuning ring;
-      ring.ring_entries = 64;
-      ring.write_behind = 16;
-      ring.submit_batch = 16;
-      ring.direct = mode.direct;
-      return std::make_unique<UringBlockDevice>(path, mode.block_bytes, ring);
-    }
+  const auto make_member = [&](const std::string& path) {
     return std::make_unique<FileBlockDevice>(path, mode.block_bytes);
   };
   if (mode.shards == 0) return make_member(bench_path(tag));
@@ -164,21 +129,11 @@ std::unique_ptr<BlockDevice> make_cmp_device(const char* tag,
                                               mode.stripe_blocks);
 }
 
-// Device + context + optional cache for one leg.  The cache charges the
-// context's own budget (the scavenger contract): algorithm reservations
-// push it out via the reclaimer, so peak() <= M still holds.
+// Device + context + trace log for one leg.
 struct Rig {
   std::unique_ptr<BlockDevice> dev;
   std::unique_ptr<Context> ctx;
-  std::unique_ptr<BlockCache> cache;
   std::unique_ptr<PassTraceLog> trace;  // heap: ctx holds its address
-
-  Rig() = default;
-  Rig(Rig&&) = default;
-  Rig& operator=(Rig&&) = default;
-  ~Rig() {
-    if (ctx != nullptr && cache != nullptr) ctx->set_block_cache(nullptr);
-  }
 };
 
 Rig make_rig(const char* tag, const ModeSpec& mode) {
@@ -187,7 +142,6 @@ Rig make_rig(const char* tag, const ModeSpec& mode) {
   rig.ctx =
       std::make_unique<Context>(*rig.dev, mode.mem_blocks * mode.block_bytes);
   rig.ctx->set_io_tuning(mode.tuning);
-  rig.ctx->set_cpu_tuning(mode.cpu);
   WorkerTuning wt;
   wt.workers = mode.workers;
   if (mode.supervised) {
@@ -199,21 +153,7 @@ Rig make_rig(const char* tag, const ModeSpec& mode) {
   rig.ctx->set_worker_tuning(wt);
   rig.trace = std::make_unique<PassTraceLog>();
   rig.ctx->set_pass_trace(rig.trace.get());
-  if (mode.cache_blocks > 0) {
-    rig.cache = std::make_unique<BlockCache>(
-        rig.ctx->budget(), mode.block_bytes, mode.cache_blocks);
-    rig.ctx->set_block_cache(rig.cache.get());
-  }
   return rig;
-}
-
-const UringBlockDevice* rig_uring(Rig& rig, const ModeSpec& mode) {
-  if (std::string(mode.backend) != "uring") return nullptr;
-  if (mode.shards == 0) {
-    return &static_cast<const UringBlockDevice&>(*rig.dev);
-  }
-  auto& facade = static_cast<ShardedBlockDevice&>(*rig.dev);
-  return &static_cast<const UringBlockDevice&>(facade.member(0));
 }
 
 // Serialize the final rep's trace rows as a JSON array (one object per
@@ -267,10 +207,6 @@ ModeResult run_mode(const char* tag, const ModeSpec& mode,
   auto host = make_workload(Workload::kUniform, cmp_records(), workload_seed);
   auto data = materialize<Record>(*rig.ctx, host);
   ModeResult res;
-  if (const UringBlockDevice* ring = rig_uring(rig, mode)) {
-    res.uring_native = ring->native();
-    res.direct_io = ring->direct_io();
-  }
   for (int rep = 0; rep < 3; ++rep) {  // best-of-3, verify untimed
     rig.dev->reset_stats();
     rig.ctx->budget().reset_peak();
@@ -283,8 +219,6 @@ ModeResult run_mode(const char* tag, const ModeSpec& mode,
       secs = dt.count();
       const IoStats stats = rig.dev->stats();
       res.ios = stats.base().total();
-      res.cache_hits = stats.cache_hits;
-      res.cache_misses = stats.cache_misses;
       res.worker_retries = stats.worker_retries;
     };
     body(*rig.ctx, data, res, capture);
@@ -329,7 +263,7 @@ ModeResult run_partition_mode(const ModeSpec& mode) {
 }
 
 // Distribution sort: the multi-pass sort whose recursion levels and in-place
-// final pass re-read recently written extents — the cache's natural prey.
+// final pass re-read recently written extents.
 ModeResult run_dsort_mode(const ModeSpec& mode) {
   return run_mode("cmp_dsort", mode, 44,
                   [](Context& ctx, EmVector<Record>& data, ModeResult& res,
@@ -342,8 +276,7 @@ ModeResult run_dsort_mode(const ModeSpec& mode) {
 }
 
 // Multi-select re-scans a geometrically shrinking candidate set over the
-// same immutable input: once the survivors fit in the cache, whole passes
-// are served from memory.
+// same immutable input.
 ModeResult run_select_mode(const ModeSpec& mode) {
   return run_mode("cmp_select", mode, 45,
                   [](Context& ctx, EmVector<Record>& data, ModeResult& res,
@@ -372,9 +305,7 @@ ModeResult run_select_mode(const ModeSpec& mode) {
 // in-binary here and again by bench_compare.py --service).
 struct ServiceLeg {
   const char* name;
-  const char* backend;      // "file" | "uring"
   std::size_t clients = 1;  // concurrent in-process client threads
-  std::size_t cache_blocks = 0;         // device-level block cache
   std::size_t bucket_cache_blocks = 0;  // per-epoch decoded-bucket cache
   std::size_t batch = 0;  // >0: pipelined — queries per query_batch() call
 };
@@ -385,12 +316,10 @@ struct ServiceResult {
   double p99 = 0;
   std::uint64_t ios = 0;    // serial per-query I/O sum (deterministic)
   std::uint64_t checksum = 0;
-  std::uint64_t cache_hits = 0;
   std::uint64_t bucket_hits = 0;  // timed passes' bucket-cache traffic
   std::uint64_t shed = 0;
   std::uint64_t epoch = 0;
   bool ok = true;
-  bool uring_native = false;
 };
 
 // The fixed query mix: half ranks, a quarter ranges, the rest histograms and
@@ -461,15 +390,11 @@ ServiceResult run_service_leg(const ServiceLeg& leg, const std::string& src,
                               const std::vector<SplitterServer::Request>& mix) {
   // 4 KiB blocks, M = 2048 blocks (the worker legs' geometry): at K = 256
   // buckets over 1M records a rank pays ~16 block reads per bucket scan.
-  const IoTuning tuning{.batch_blocks = 32, .queue_depth = 0, .async = false};
-  const ModeSpec mode{leg.name,    tuning, CpuTuning{1, 1}, 0,     8,
-                      leg.backend, leg.cache_blocks, 0,     false, 4096,
-                      2048};
+  ModeSpec mode{leg.name, IoTuning{.batch_blocks = 32}};
+  mode.block_bytes = 4096;
+  mode.mem_blocks = 2048;
   Rig rig = make_rig("cmp_service", mode);
   ServiceResult res;
-  if (const UringBlockDevice* ring = rig_uring(rig, mode)) {
-    res.uring_native = ring->native();
-  }
   SplitterServer::Config scfg;
   scfg.source_path = src;
   scfg.buckets = 256;
@@ -479,8 +404,8 @@ ServiceResult run_service_leg(const ServiceLeg& leg, const std::string& src,
   server.start();
   res.epoch = server.epoch();
 
-  // Serial verification pass: per-query reads are geometry (cache and
-  // bucket-cache hits are counted separately and base() strips them), so the
+  // Serial verification pass: per-query reads are geometry (bucket-cache
+  // hits are counted separately and base() strips them), so the
   // sum is the leg's logical I/O figure and the answer stream hashes to its
   // checksum.  The pass also warms the bucket cache, like production would.
   std::uint64_t h = 1469598103934665603ull;
@@ -489,7 +414,6 @@ ServiceResult run_service_leg(const ServiceLeg& leg, const std::string& src,
     const SplitterServer::Reply rep = server.query(q);
     res.ok = res.ok && rep.ok;
     sum += rep.io;
-    res.cache_hits += rep.io.cache_hits;
     res.bucket_hits += rep.io.bucket_hits;
     mix_reply_checksum(h, rep);
   }
@@ -588,13 +512,11 @@ void run_service_bench(bench::JsonEmitter& json) {
   constexpr std::size_t kServeCacheBlocks = 1024;
   constexpr std::size_t kServeBatch = 16;
   const ServiceLeg legs[] = {
-      {"serve1", "file", 1, 0},
-      {"serve4", "file", 4, 0},
-      {"serve4+uring", "uring", 4, 0},
-      {"serve4+cache", "uring", 4, kServeCacheBlocks},
-      {"serve4+bcache", "file", 4, 0, kServeCacheBlocks},
-      {"serve4+pipe", "file", 4, 0, 0, kServeBatch},
-      {"serve4+pipe+bcache", "file", 4, 0, kServeCacheBlocks, kServeBatch},
+      {"serve1", 1},
+      {"serve4", 4},
+      {"serve4+bcache", 4, kServeCacheBlocks},
+      {"serve4+pipe", 4, 0, kServeBatch},
+      {"serve4+pipe+bcache", 4, kServeCacheBlocks, kServeBatch},
   };
 
   std::printf(
@@ -614,8 +536,8 @@ void run_service_bench(bench::JsonEmitter& json) {
       ref_checksum = r.checksum;
       first_leg = false;
     }
-    // Clients, backend and cache are load and geometry, never output: every
-    // leg must answer the mix with the same logical reads and the same bytes.
+    // Clients and cache are load and geometry, never output: every leg must
+    // answer the mix with the same logical reads and the same bytes.
     const bool deterministic =
         r.ios == ref_ios && r.checksum == ref_checksum;
     const double qps =
@@ -629,11 +551,7 @@ void run_service_bench(bench::JsonEmitter& json) {
     json.begin_row();
     json.field("op", std::string("service"));
     json.field("mode", std::string(leg.name));
-    json.field("backend", std::string(leg.backend));
-    json.field("uring_native", r.uring_native);
     json.field("clients", static_cast<std::uint64_t>(leg.clients));
-    json.field("cache_blocks", static_cast<std::uint64_t>(leg.cache_blocks));
-    json.field("cache_hits", r.cache_hits);
     json.field("bucket_cache_blocks",
                static_cast<std::uint64_t>(leg.bucket_cache_blocks));
     json.field("bucket_hits", r.bucket_hits);
@@ -658,61 +576,29 @@ void run_service_bench(bench::JsonEmitter& json) {
 }
 
 void run_mode_comparison() {
-  // Tuning shorthands.  batched and async share stream_blocks() = 32, so
-  // they run the same geometry (fan-in 127 over ~65 runs: one merge pass,
-  // like sync's fan-in 4095) and identical I/O totals; only the issue path
-  // differs.  The uring legs reuse the batched tuning verbatim — backend and
-  // cache are the only deltas, so their logical I/Os and checksums must
-  // equal the batched/async legs' exactly.
-  const IoTuning kSync{.batch_blocks = 1, .queue_depth = 0, .async = false};
-  const IoTuning kBatched{.batch_blocks = 32, .queue_depth = 0, .async = false};
-  const IoTuning kAsync{.batch_blocks = 16, .queue_depth = 1, .async = true};
-  constexpr std::size_t kCacheBlocks = 2048;  // half of M, scavenged
+  // Tuning shorthands.  batched runs fan-in 127 over ~65 runs: one merge
+  // pass, like sync's fan-in 4095, so both report identical I/O totals; only
+  // the issue path differs.
+  const IoTuning kSync{.batch_blocks = 1};
+  const IoTuning kBatched{.batch_blocks = 32};
 
   const std::vector<ModeSpec> full_modes = {
       {"sync", kSync},
       {"batched", kBatched},
-      {"async", kAsync},
-      // CPU-parallel legs on top of the async pipeline: same stream geometry
-      // as "async", so I/O totals and output checksums must match it exactly
-      // for every thread count (the determinism contract).  sort_shards = 8
-      // is geometry too, but record order is total, so even it cannot move
-      // a byte.  On a single-core host these report honestly flat times.
-      {"async+t2", kAsync, CpuTuning{2, 8}},
-      {"async+t4", kAsync, CpuTuning{4, 8}},
-      // Sharded legs: the async tuning striped over D file-backed members
-      // with parallel member submission.  Striping is geometry, so logical
-      // I/O totals and checksums must equal the async leg's exactly; on a
-      // single-core container the wall-clock gain is honest page-cache
-      // overlap, not spindle parallelism.  shard1 isolates the facade's
-      // dispatch overhead (one member, same code path).
-      // Stripe = batch = 16 blocks: every aligned batch covers exactly one
-      // stripe, so sub-batch splitting adds no extra member calls and the
-      // members alternate batch by batch (balance ~ 1).
-      {"shard1", kAsync, CpuTuning{1, 1}, 1, 16},
-      {"shard2", kAsync, CpuTuning{1, 1}, 2, 16},
-      {"shard4", kAsync, CpuTuning{1, 1}, 4, 16},
-      // The io_uring backend at the batched tuning: write-behind slots and
-      // grouped submission replace one blocking pwrite per extent (batched
-      // and async share stream geometry, so the determinism check against
-      // the async reference still binds bit-for-bit).
-      {"uring", kBatched, CpuTuning{1, 1}, 0, 8, "uring"},
-      // O_DIRECT probe leg: the ring with page-cache bypass requested, on a
-      // 512-byte block size (the alignment O_DIRECT demands) with the same
-      // M in bytes.  Its own geometry => exempt from the cross-leg
-      // determinism reference and from bench_compare's wall gates; when the
-      // filesystem refuses the probe the leg degrades to the buffered ring
-      // and reports direct_io = false.
-      {"uring-direct", kBatched, CpuTuning{1, 1}, 0, 8, "uring", 0, 0, true,
-       512, kCmpMemBlocks * kCmpBlockBytes / 512},
+      // Sharded legs: the batched tuning striped over D file-backed members,
+      // walked serially.  Striping is geometry, so logical I/O totals and
+      // checksums must equal the batched leg's exactly.  shard1 isolates the
+      // facade's dispatch overhead (one member, same code path).  Stripe =
+      // batch = 32 blocks: every aligned batch covers exactly one stripe, so
+      // sub-batch splitting adds no extra member calls and the members
+      // alternate batch by batch (balance ~ 1).
+      {"shard1", kBatched, 1, 32},
+      {"shard2", kBatched, 2, 32},
+      {"shard4", kBatched, 4, 32},
   };
-  // The cache showcase ops (distribution sort's level-to-level re-reads,
-  // multi-select's shrinking candidate re-scans) run a compact leg set:
-  // the file baseline at batched geometry, the ring, and ring + cache.
-  const std::vector<ModeSpec> cache_modes = {
+  // dsort and multi_select run the batched leg alone.
+  const std::vector<ModeSpec> batched_only = {
       {"batched", kBatched},
-      {"uring", kBatched, CpuTuning{1, 1}, 0, 8, "uring"},
-      {"uring+cache", kBatched, CpuTuning{1, 1}, 0, 8, "uring", kCacheBlocks},
   };
   // Worker legs: the multi-process distributed path for the two ops that
   // route through it, at W = 1, 2, 4 forked workers on a 4 KiB block
@@ -722,19 +608,23 @@ void run_mode_comparison() {
   // output: all three legs must report identical logical I/Os and output
   // checksums — checked in-binary against the workers1 reference and again
   // by bench_compare.py --workers.
+  const auto worker_leg = [&](const char* name, std::size_t w, bool sup) {
+    ModeSpec m{name, kBatched};
+    m.workers = w;
+    m.block_bytes = 4096;
+    m.mem_blocks = 2048;
+    m.supervised = sup;
+    return m;
+  };
   const std::vector<ModeSpec> worker_modes = {
-      {"workers1", kBatched, CpuTuning{1, 1}, 0, 8, "file", 0, 1, false,
-       4096, 2048},
-      {"workers2", kBatched, CpuTuning{1, 1}, 0, 8, "file", 0, 2, false,
-       4096, 2048},
-      {"workers4", kBatched, CpuTuning{1, 1}, 0, 8, "file", 0, 4, false,
-       4096, 2048},
+      worker_leg("workers1", 1, false),
+      worker_leg("workers2", 2, false),
+      worker_leg("workers4", 4, false),
       // Supervision armed at zero faults: the poll-driven drain, per-frame
       // checksums and retry bookkeeping must cost nothing measurable —
       // identical I/Os and checksum to workers2, worker_retries = 0, and
       // wall-clock within bench_compare.py --supervision's threshold.
-      {"workers2+sup", kBatched, CpuTuning{1, 1}, 0, 8, "file", 0, 2, false,
-       4096, 2048, true},
+      worker_leg("workers2+sup", 2, true),
   };
 
   struct OpSpec {
@@ -744,21 +634,21 @@ void run_mode_comparison() {
     const char* ref_leg;  // geometry reference for the determinism check
   };
   const OpSpec ops[] = {
-      {"external_sort", run_sort_mode, &full_modes, "async"},
-      {"multi_partition", run_partition_mode, &full_modes, "async"},
-      {"dsort", run_dsort_mode, &cache_modes, "batched"},
-      {"multi_select", run_select_mode, &cache_modes, "batched"},
+      {"external_sort", run_sort_mode, &full_modes, "batched"},
+      {"multi_partition", run_partition_mode, &full_modes, "batched"},
+      {"dsort", run_dsort_mode, &batched_only, "batched"},
+      {"multi_select", run_select_mode, &batched_only, "batched"},
       {"dsort", run_dsort_mode, &worker_modes, "workers1"},
       {"multi_partition", run_partition_mode, &worker_modes, "workers1"},
   };
 
   bench::JsonEmitter json("wallclock");
   std::printf(
-      "# E10a: sync vs batched vs async vs threads vs sharded vs uring(+cache), "
+      "# E10a: sync vs batched vs sharded vs workers, "
       "B = %zu bytes, M = %zu blocks, N = %zu records\n",
       kCmpBlockBytes, kCmpMemBlocks, cmp_records());
-  std::printf("# %-16s %-11s %10s %12s %10s %9s %8s\n", "op", "mode", "secs",
-              "ios", "peak/M", "hits", "speedup");
+  std::printf("# %-16s %-11s %10s %12s %10s %8s\n", "op", "mode", "secs",
+              "ios", "peak/M", "speedup");
 
   for (const OpSpec& op : ops) {
     double base_secs = 0;
@@ -778,14 +668,10 @@ void run_mode_comparison() {
       }
       // Every leg past the reference shares its stream geometry, so both
       // halves of the determinism contract are checkable right here: same
-      // logical I/O total, same output bytes.  (uring legs run the batched
-      // tuning; batched/async already match — see the tuning comment.)
-      // Shard legs additionally require the per-shard counters to partition
-      // the facade totals.
+      // logical I/O total, same output bytes.  Shard legs additionally
+      // require the per-shard counters to partition the facade totals.
       const bool follows_ref =
-          name.rfind("async+", 0) == 0 || name.rfind("shard", 0) == 0 ||
-          name.rfind("workers", 0) == 0 ||
-          (name.rfind("uring", 0) == 0 && name != "uring-direct");
+          name.rfind("shard", 0) == 0 || name.rfind("workers", 0) == 0;
       const bool deterministic =
           (!follows_ref ||
            (r.ios == ref_ios && r.checksum == ref_checksum)) &&
@@ -793,29 +679,18 @@ void run_mode_comparison() {
       const double speedup = r.seconds > 0 ? base_secs / r.seconds : 0.0;
       const double peak_frac = static_cast<double>(r.peak) /
                                static_cast<double>(kCmpMemBlocks * kCmpBlockBytes);
-      std::printf("  %-16s %-11s %10.3f %12llu %10.3f %9llu %7.2fx%s%s\n",
+      std::printf("  %-16s %-11s %10.3f %12llu %10.3f %7.2fx%s%s\n",
                   op.op, mode.name, r.seconds,
-                  static_cast<unsigned long long>(r.ios), peak_frac,
-                  static_cast<unsigned long long>(r.cache_hits), speedup,
+                  static_cast<unsigned long long>(r.ios), peak_frac, speedup,
                   r.sorted ? "" : "  [CHECK FAILED]",
                   deterministic ? "" : "  [DETERMINISM FAILED]");
       json.begin_row();
       json.field("op", std::string(op.op));
       json.field("mode", std::string(mode.name));
-      json.field("backend", std::string(mode.backend));
-      json.field("uring_native", r.uring_native);
-      json.field("direct_io", r.direct_io);
       json.field("workers", static_cast<std::uint64_t>(mode.workers));
       json.field("supervised", mode.supervised);
       json.field("worker_retries", r.worker_retries);
-      json.field("cache_blocks", static_cast<std::uint64_t>(mode.cache_blocks));
-      json.field("cache_hits", r.cache_hits);
-      json.field("cache_misses", r.cache_misses);
       json.field("batch_blocks", static_cast<std::uint64_t>(mode.tuning.batch_blocks));
-      json.field("queue_depth", static_cast<std::uint64_t>(mode.tuning.queue_depth));
-      json.field("async", mode.tuning.async);
-      json.field("threads", static_cast<std::uint64_t>(mode.cpu.threads));
-      json.field("sort_shards", static_cast<std::uint64_t>(mode.cpu.sort_shards));
       json.field("shards", static_cast<std::uint64_t>(mode.shards));
       json.field("stripe_blocks",
                  static_cast<std::uint64_t>(mode.shards > 0
@@ -887,23 +762,6 @@ void BM_FileExternalSort(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_FileExternalSort)->Arg(1 << 18)->Arg(1 << 20);
-
-void BM_FileExternalSortAsync(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  FileBlockDevice dev(bench_path("sorta"), kBlockBytes);
-  Context ctx(dev, kMemBlocks * kBlockBytes);
-  ctx.set_io_tuning(
-      IoTuning{.batch_blocks = 8, .queue_depth = 1, .async = true});
-  auto host = make_workload(Workload::kUniform, n, 2);
-  auto data = materialize<Record>(ctx, host);
-  for (auto _ : state) {
-    auto sorted = external_sort<Record>(ctx, data);
-    benchmark::DoNotOptimize(sorted.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_FileExternalSortAsync)->Arg(1 << 18)->Arg(1 << 20);
 
 void BM_FileSplittersRight(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

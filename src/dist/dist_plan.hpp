@@ -44,7 +44,7 @@ namespace emsplit::dist {
 struct DistPlan {
   std::size_t n = 0;       ///< record count
   std::size_t b = 0;       ///< records per block
-  std::size_t sbr = 0;     ///< records per stream batch (stream_blocks * b)
+  std::size_t sbr = 0;     ///< records per stream batch (batch_blocks * b)
   std::size_t chunk = 0;   ///< formation run length (multiple of b)
   std::size_t n_runs = 0;  ///< U = ceil(n / chunk)
   std::size_t stride = 0;  ///< sample stride within each sorted run
@@ -69,7 +69,7 @@ template <EmRecord T>
   DistPlan p;
   p.n = n;
   p.b = ctx.block_records<T>();
-  p.sbr = ctx.stream_blocks() * p.b;
+  p.sbr = ctx.batch_blocks() * p.b;
   const std::size_t mem = dist_worker_mem<T>(ctx);
   // Worker-unit cap: 5/8 of the per-worker share, minus the part writer's
   // buffer and staging blocks, floored to a whole number of blocks (the grid
@@ -138,7 +138,7 @@ template <EmRecord T>
   h = fingerprint_mix(h, n);
   h = fingerprint_mix(h, sizeof(T));
   h = fingerprint_mix(h, ctx.block_records<T>());
-  h = fingerprint_mix(h, ctx.stream_blocks());
+  h = fingerprint_mix(h, ctx.batch_blocks());
   h = fingerprint_mix(h, ctx.mem_records<T>());
   // mem_workers shapes the unit grid (like M itself); W still never does.
   h = fingerprint_mix(h, ctx.worker_tuning().mem_workers);

@@ -11,9 +11,7 @@
 #include <thread>
 #include <utility>
 
-#include "em/block_cache.hpp"
 #include "em/fnv.hpp"
-#include "em/posix_io.hpp"
 
 namespace emsplit {
 
@@ -46,25 +44,11 @@ BlockDevice::BlockDevice(std::size_t block_bytes) : block_bytes_(block_bytes) {
 
 BlockDevice::~BlockDevice() = default;
 
-thread_local std::uint64_t BlockDevice::thread_cache_hits_ = 0;
-
-std::uint64_t BlockDevice::take_thread_cache_hits() noexcept {
-  const std::uint64_t hits = thread_cache_hits_;
-  thread_cache_hits_ = 0;
-  return hits;
-}
-
 IoStats BlockDevice::stats() const noexcept {
-  IoStats s{reads_.load(std::memory_order_relaxed),
-            writes_.load(std::memory_order_relaxed),
-            retries_.load(std::memory_order_relaxed),
-            worker_retries_.load(std::memory_order_relaxed)};
-  if (cache_ != nullptr) {
-    s.cache_hits = cache_->hits();
-    s.cache_misses = cache_->misses();
-    s.cache_evictions = cache_->evictions();
-  }
-  return s;
+  return IoStats{reads_.load(std::memory_order_relaxed),
+                 writes_.load(std::memory_order_relaxed),
+                 retries_.load(std::memory_order_relaxed),
+                 worker_retries_.load(std::memory_order_relaxed)};
 }
 
 void BlockDevice::reset_stats() noexcept {
@@ -72,7 +56,6 @@ void BlockDevice::reset_stats() noexcept {
   writes_.store(0, std::memory_order_relaxed);
   retries_.store(0, std::memory_order_relaxed);
   worker_retries_.store(0, std::memory_order_relaxed);
-  if (cache_ != nullptr) cache_->reset_counters();
 }
 
 void BlockDevice::absorb_stats(const IoStats& delta,
@@ -82,11 +65,6 @@ void BlockDevice::absorb_stats(const IoStats& delta,
   writes_.fetch_add(delta.writes, std::memory_order_relaxed);
   retries_.fetch_add(delta.retries, std::memory_order_relaxed);
   worker_retries_.fetch_add(delta.worker_retries, std::memory_order_relaxed);
-}
-
-void BlockDevice::invalidate_cache_range(BlockId first,
-                                         std::uint64_t count) noexcept {
-  if (cache_ != nullptr) cache_->invalidate(first, count);
 }
 
 BlockRange BlockDevice::allocate(std::uint64_t count) {
@@ -114,11 +92,6 @@ BlockRange BlockDevice::allocate(std::uint64_t count) {
 
 void BlockDevice::deallocate(const BlockRange& range) noexcept {
   if (!range.valid() || range.count == 0) return;
-  // A write-behind backend must drain in-flight writes into the extent
-  // before it becomes reusable, and the cache must forget its copies — a
-  // recycled block's first read must see the new owner's bytes.
-  do_discard(range);
-  invalidate_cache_range(range.first, range.count);
   allocated_blocks_ -= range.count;
   {
     // Drop checksum entries with the extent: a recycled block's first read
@@ -316,22 +289,9 @@ void BlockDevice::read_core(const char* op, BlockId first, std::uint64_t count,
           d.allowed == want ? span.size()
                             : static_cast<std::size_t>(d.allowed) * block_bytes_;
       const auto sub = span.first(bytes);
-      // A cache hit serves the bytes without a backend transfer, but the
-      // read is still counted: the model charges block movement into working
-      // memory, wherever the bytes came from.  Cached bytes are the write
-      // path's own copy, so checksum verification would be a tautology and
-      // is skipped (corruption injection invalidates the cached block, so
-      // detection is preserved).
-      const bool hit =
-          cache_ != nullptr && cache_->read(first + done, d.allowed, sub);
-      if (!hit) {
-        do_read_blocks(first + done, d.allowed, sub);
-        if (cache_ != nullptr) cache_->note_read(first + done, d.allowed, sub);
-      } else {
-        thread_cache_hits_ += d.allowed;
-      }
+      do_read_blocks(first + done, d.allowed, sub);
       reads_.fetch_add(d.allowed, std::memory_order_relaxed);
-      if (verify && !hit) verify_sums(first + done, d.allowed, sub);
+      if (verify) verify_sums(first + done, d.allowed, sub);
       done += d.allowed;
     }
     if (!d.fires) return;
@@ -368,7 +328,6 @@ void BlockDevice::write_core(const char* op, BlockId first,
       do_write_blocks(first + done, d.allowed, sub);
       writes_.fetch_add(d.allowed, std::memory_order_relaxed);
       if (track) record_sums(first + done, d.allowed, sub);
-      if (cache_ != nullptr) cache_->note_write(first + done, d.allowed, sub);
       done += d.allowed;
     }
     if (!d.fires) return;
@@ -426,9 +385,6 @@ void BlockDevice::corrupt_bit(BlockId block, std::size_t bit) {
   }
   // Uncounted raw access, checksum map deliberately untouched: the stored
   // bytes now disagree with the recorded hash, exactly like real bit rot.
-  // Any cached copy is dropped — it holds the pristine bytes, and serving it
-  // would mask the corruption from the verifying read.
-  invalidate_cache_range(block, 1);
   std::vector<std::byte> buf(block_bytes_);
   do_read_blocks(block, 1, buf);
   buf[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
@@ -441,7 +397,6 @@ void BlockDevice::restore(std::uint64_t size_blocks,
     throw std::logic_error(
         "BlockDevice::restore: device already has live allocations");
   }
-  if (cache_ != nullptr) cache_->clear();
   std::vector<BlockRange> sorted(live.begin(), live.end());
   std::sort(sorted.begin(), sorted.end(),
             [](const BlockRange& a, const BlockRange& b) {
@@ -694,12 +649,38 @@ void FileBlockDevice::do_grow(std::uint64_t new_size_blocks) {
 
 void FileBlockDevice::pread_span(std::uint64_t offset,
                                  std::span<std::byte> out) {
-  detail::posix_pread_span(fd_, offset, out, "FileBlockDevice");
+  std::size_t done = 0;
+  while (done < out.size()) {
+    const ssize_t n = ::pread(fd_, out.data() + done, out.size() - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error(std::string("FileBlockDevice: pread failed: ") +
+                               std::strerror(errno));
+    }
+    if (n == 0) {
+      // Hole beyond EOF of a sparse region: zero-fill, matching
+      // MemoryBlockDevice's "never-written blocks read as zeroes".
+      std::memset(out.data() + done, 0, out.size() - done);
+      return;
+    }
+    done += static_cast<std::size_t>(n);
+  }
 }
 
 void FileBlockDevice::pwrite_span(std::uint64_t offset,
                                   std::span<const std::byte> in) {
-  detail::posix_pwrite_span(fd_, offset, in, "FileBlockDevice");
+  std::size_t done = 0;
+  while (done < in.size()) {
+    const ssize_t n = ::pwrite(fd_, in.data() + done, in.size() - done,
+                               static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error(std::string("FileBlockDevice: pwrite failed: ") +
+                               std::strerror(errno));
+    }
+    done += static_cast<std::size_t>(n);
+  }
 }
 
 void FileBlockDevice::do_read(BlockId block, std::span<std::byte> out) {

@@ -15,7 +15,7 @@
 // extent transfer is one device call — one pread/pwrite on FileBlockDevice —
 // but is charged k I/Os, because the model prices block movement, not calls;
 // batching is therefore invisible to the cost accounting (docs/model.md,
-// "I/O batching and asynchrony").
+// "I/O batching").
 //
 // Allocation is extent-based (contiguous runs of blocks) with a first-fit
 // free list, so external vectors and scratch space can be recycled during
@@ -43,8 +43,6 @@
 #include "em/io_stats.hpp"
 
 namespace emsplit {
-
-class BlockCache;
 
 using BlockId = std::uint64_t;
 
@@ -178,11 +176,11 @@ struct FaultSchedule {
 };
 
 /// Bounded retry of transient faults, applied inside the device's public
-/// transfer methods — which covers every call site, the async I/O worker
-/// included.  A retry re-issues only the blocks the fault prevented, so the
-/// base read/write counts of a retried run are identical to the fault-free
-/// run; each retry attempt is tallied separately in IoStats::retries.
-/// The default (max_retries = 0) reproduces the classic fail-fast device.
+/// transfer methods — which covers every call site.  A retry re-issues only
+/// the blocks the fault prevented, so the base read/write counts of a
+/// retried run are identical to the fault-free run; each retry attempt is
+/// tallied separately in IoStats::retries.  The default (max_retries = 0)
+/// reproduces the classic fail-fast device.
 struct FaultPolicy {
   std::uint64_t max_retries = 0;  ///< retry attempts per request
   std::chrono::microseconds backoff{0};  ///< first retry delay, doubled per attempt
@@ -192,15 +190,14 @@ struct FaultPolicy {
 /// Abstract block device with I/O accounting, extent allocation and fault
 /// injection.
 ///
-/// Thread-safety contract (load-bearing for the async I/O pipeline): the
-/// transfer interface — read / write / read_blocks / write_blocks — and the
-/// stats() snapshot may be used concurrently by the main thread and the
-/// background I/O worker.  The I/O counters are relaxed atomics, and the
-/// transfer paths of both concrete devices are data-race free provided no two
-/// threads touch the same block concurrently (the stream layer guarantees
-/// that: every in-flight batch owns its blocks exclusively).  Everything else
-/// — allocate / deallocate, reset_stats, arm/disarm fault — is main-thread
-/// only and must not run while transfers are in flight.
+/// Thread-safety contract (load-bearing for the service's concurrent query
+/// threads): the transfer interface — read / write / read_blocks /
+/// write_blocks — and the stats() snapshot may be used from several threads
+/// at once.  The I/O counters are relaxed atomics, and the transfer paths of
+/// both concrete devices are data-race free provided no block is written
+/// while another thread touches it.  Everything else — allocate /
+/// deallocate, reset_stats, arm/disarm fault — is main-thread only and must
+/// not run while transfers are in flight.
 class BlockDevice {
  public:
   explicit BlockDevice(std::size_t block_bytes);
@@ -249,26 +246,15 @@ class BlockDevice {
                     std::span<const std::byte> in);
 
   /// Snapshot of the I/O counters.  Returns by value: the counters are
-  /// atomics that the background worker may be bumping concurrently.
-  /// Virtual so a composite device (ShardedBlockDevice) can report the sum
-  /// of its members' counters as the facade total.  With a block cache
-  /// attached, the snapshot carries the cache's hit/miss/eviction counters;
-  /// base() strips them, so determinism assertions are unaffected.
+  /// atomics that concurrent transfers may be bumping.  Virtual so a
+  /// composite device (ShardedBlockDevice) can report the sum of its members'
+  /// counters as the facade total.
   [[nodiscard]] virtual IoStats stats() const noexcept;
 
-  /// Zero the counters (including the attached cache's, if any).  Main-thread
-  /// only, and only at quiescent points (no async I/O in flight — e.g.
-  /// between algorithm runs); a reset racing the worker's increments would
-  /// produce torn totals.
+  /// Zero the counters.  Main-thread only, and only at quiescent points (no
+  /// transfers in flight — e.g. between algorithm runs); a reset racing
+  /// concurrent increments would produce torn totals.
   virtual void reset_stats() noexcept;
-
-  /// Attach (or detach, with nullptr) a block cache.  The device consults it
-  /// on every transfer: resident reads skip the backend but are still counted
-  /// — the cache is invisible to the logical I/O accounting (docs/model.md).
-  /// Main-thread only, at quiescent points.  One device per cache: the cache
-  /// is keyed by this device's block ids.
-  void set_cache(BlockCache* cache) noexcept { cache_ = cache; }
-  [[nodiscard]] BlockCache* cache() const noexcept { return cache_; }
 
   /// True when a forked child process can keep transferring over the
   /// inherited handle while the parent's copy stays usable — the property the
@@ -277,31 +263,21 @@ class BlockDevice {
   /// pread/pwrite on a shared fd and offset-free file growth).
   /// MemoryBlockDevice qualifies because its pages live in MAP_SHARED
   /// anonymous arenas (prepare_fork materializes every page so a child never
-  /// needs to extend the page table).  UringBlockDevice qualifies in buffered
-  /// mode: the child must not drive the parent's ring, so child_after_fork
-  /// pins it to the positional pread/pwrite fallback over the shared fd.
+  /// needs to extend the page table).
   [[nodiscard]] virtual bool fork_safe() const noexcept { return false; }
 
   /// Called in the parent, at a quiescent point, immediately before forking
   /// cooperating workers.  A backend uses this to reach the state fork
   /// sharing needs: MemoryBlockDevice materializes all pages into its shared
-  /// arenas; UringBlockDevice drains in-flight write-behind so children read
-  /// settled bytes.  Default: nothing to prepare.
+  /// arenas; a wrapping device forwards to the device it wraps.  Default:
+  /// nothing to prepare.
   virtual void prepare_fork() {}
 
   /// Called once inside a freshly forked worker, before any transfer.  A
-  /// backend uses this to drop resources it must not share with the parent:
-  /// UringBlockDevice stops driving the inherited ring and falls back to
-  /// positional I/O.  The child _exits without running destructors, so this
-  /// must not need a matching teardown.  Default: nothing to do.
+  /// backend uses this to drop resources it must not share with the parent.
+  /// The child _exits without running destructors, so this must not need a
+  /// matching teardown.  Default: nothing to do.
   virtual void child_after_fork() noexcept {}
-
-  /// Drain and zero this thread's cache-hit counter.  read_core bumps a
-  /// thread_local counter on every cache-served block, so a query thread can
-  /// attribute hits to itself exactly even while other threads share the
-  /// device: clear before the query, take after.  The device-wide totals in
-  /// stats() are unaffected.
-  [[nodiscard]] static std::uint64_t take_thread_cache_hits() noexcept;
 
   /// Fold I/O performed on this device by a cooperating forked worker into
   /// the counters: the child's transfers moved real blocks of the shared
@@ -430,20 +406,12 @@ class BlockDevice {
                                std::span<const std::byte> in);
   /// Called when the device grows to `new_size_blocks` blocks.
   virtual void do_grow(std::uint64_t new_size_blocks) = 0;
-  /// Called by deallocate before an extent returns to the free list.  A
-  /// backend with in-flight write-behind (UringBlockDevice) drains writes
-  /// overlapping the range here so a recycled extent can never be clobbered
-  /// by a stale completion.
-  virtual void do_discard(const BlockRange& range) noexcept { (void)range; }
   /// Called once per transient-fault retry with the first untransferred
   /// block of the retried request.  A composite device overrides this to
   /// attribute facade-level retries to the member shard that owns the block.
   virtual void note_retry(BlockId first_failed) noexcept {
     (void)first_failed;
   }
-  /// Invalidate any cached copies of [first, first + count) — for subclasses
-  /// that mutate storage behind the counting layer (corruption routing).
-  void invalidate_cache_range(BlockId first, std::uint64_t count) noexcept;
 
  private:
   /// Outcome of consulting the fault injector for a `count`-I/O request.
@@ -495,12 +463,6 @@ class BlockDevice {
     std::uint64_t sum = 0;
   };
 
-  /// Per-thread cache-hit tally for take_thread_cache_hits(); thread-owned,
-  /// so no synchronization.  Shared across BlockDevice instances on purpose —
-  /// a query runs against one device at a time, and a sharded facade's
-  /// members all credit the same querying thread.
-  static thread_local std::uint64_t thread_cache_hits_;
-
   std::size_t block_bytes_;
   std::atomic<std::uint64_t> size_blocks_{0};
   std::uint64_t allocated_blocks_ = 0;
@@ -527,7 +489,6 @@ class BlockDevice {
   mutable std::mutex sum_mu_;
   std::map<BlockId, BlockSum> sums_;
   std::map<BlockId, BlockSum> dirty_sums_;  // guarded by sum_mu_
-  BlockCache* cache_ = nullptr;
 };
 
 /// RAII ownership of a raw extent outside an EmVector — the recovery and

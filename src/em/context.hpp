@@ -18,7 +18,6 @@
 #include <string>
 
 #include "em/block_device.hpp"
-#include "em/io_pipeline.hpp"
 #include "em/memory_budget.hpp"
 #include "em/phase_profile.hpp"
 #include "em/thread_pool.hpp"
@@ -28,9 +27,8 @@ namespace emsplit {
 class CheckpointJournal;
 class PassTraceLog;
 
-/// Knobs for the batched / asynchronous I/O subsystem (docs/model.md,
-/// "I/O batching and asynchrony").  The default — one block per call, no
-/// read-ahead, synchronous — reproduces the classic single-buffered streams
+/// Knobs for batched I/O (docs/model.md, "I/O batching").  The default —
+/// one block per call — reproduces the classic single-buffered streams
 /// exactly, I/O count for I/O count.
 struct IoTuning {
   /// Blocks the stream classes move per device call (read_blocks /
@@ -38,15 +36,11 @@ struct IoTuning {
   /// divides the block size (otherwise per-block tail padding makes
   /// multi-block record spans discontiguous and streams fall back to 1).
   std::size_t batch_blocks = 1;
-  /// Extra in-flight batches per stream — the read-ahead / write-behind
-  /// depth.  Each stream's budgeted footprint is
-  /// batch_blocks * (1 + queue_depth) blocks whether or not async is on.
+  /// Retired: kept only so three-member initializers such as
+  /// `IoTuning{batch, 0, false}` still compile.  set_io_tuning rejects any
+  /// value but 0.
   std::size_t queue_depth = 0;
-  /// Service queued batches on the background I/O worker so transfers
-  /// overlap with computation.  Pointless without queue_depth >= 1.  Never
-  /// changes I/O counts for fully consumed streams (the determinism
-  /// contract): geometry derives from stream_blocks(), which ignores this
-  /// flag.
+  /// Retired, like queue_depth: set_io_tuning rejects any value but false.
   bool async = false;
 };
 
@@ -217,43 +211,34 @@ class Context {
     return device_->shard_stats();
   }
 
-  /// Configure I/O batching / asynchrony.  Throws if batch_blocks is 0 or a
-  /// reader/writer pair of batched streams could not fit in M (the model
-  /// needs at least input + output streaming to make progress).  Switching
-  /// async off drains and joins the worker; only call at quiescent points
-  /// (no live streams).
+  /// Configure I/O batching.  Throws if batch_blocks is 0, if a retired
+  /// field holds anything but its default, or if a reader/writer pair of
+  /// batched streams could not fit in M (the model needs at least input +
+  /// output streaming to make progress).  Only call at quiescent points (no
+  /// live streams).
   void set_io_tuning(const IoTuning& tuning) {
     if (tuning.batch_blocks == 0) {
       throw std::invalid_argument(
           "Context::set_io_tuning: batch_blocks must be positive");
     }
-    const std::size_t per_stream =
-        tuning.batch_blocks * (1 + tuning.queue_depth);
-    if (2 * per_stream * block_bytes() > mem_bytes()) {
+    if (tuning.queue_depth != 0 || tuning.async) {
+      throw std::invalid_argument(
+          "Context::set_io_tuning: queue_depth and async are retired (must "
+          "be 0 and false)");
+    }
+    if (2 * tuning.batch_blocks * block_bytes() > mem_bytes()) {
       throw std::invalid_argument(
           "Context::set_io_tuning: a reader/writer stream pair would exceed "
-          "M (shrink batch_blocks or queue_depth)");
+          "M (shrink batch_blocks)");
     }
     tuning_ = tuning;
-    if (tuning_.async) {
-      if (pipeline_ == nullptr) pipeline_ = std::make_unique<IoPipeline>();
-    } else {
-      pipeline_.reset();
-    }
   }
   [[nodiscard]] const IoTuning& io_tuning() const noexcept { return tuning_; }
 
-  /// The background I/O worker, or nullptr when running synchronously.
-  [[nodiscard]] IoPipeline* pipeline() const noexcept {
-    return pipeline_.get();
-  }
-
-  /// Blocks of memory one stream's buffers occupy under the current tuning.
-  /// Deliberately independent of the async flag: sync and async runs at the
-  /// same tuning see identical geometry (fan-ins, chunk sizes) and therefore
-  /// perform bit-identical I/O counts.
-  [[nodiscard]] std::size_t stream_blocks() const noexcept {
-    return tuning_.batch_blocks * (1 + tuning_.queue_depth);
+  /// Blocks of memory one stream's buffer occupies under the current tuning
+  /// (geometry: fan-ins and chunk sizes derive from it).
+  [[nodiscard]] std::size_t batch_blocks() const noexcept {
+    return tuning_.batch_blocks;
   }
 
   /// Configure CPU parallelism.  Throws if either knob is 0.  threads > 1
@@ -305,8 +290,8 @@ class Context {
 
   /// Retry policy for transient device faults (docs/model.md, "Failure
   /// model, retries, and recovery").  Forwarded to the device, where the
-  /// retry loop lives — so it covers every transfer, the async I/O worker's
-  /// included.  Only call at quiescent points (no transfers in flight).
+  /// retry loop lives — so it covers every transfer.  Only call at quiescent
+  /// points (no transfers in flight).
   void set_fault_policy(const FaultPolicy& policy) noexcept {
     fault_policy_ = policy;
     device_->set_fault_policy(policy);
@@ -333,19 +318,6 @@ class Context {
   void set_pass_trace(PassTraceLog* log) noexcept { pass_trace_ = log; }
   [[nodiscard]] PassTraceLog* pass_trace() const noexcept {
     return pass_trace_;
-  }
-
-  /// Optional shared block cache (see block_cache.hpp).  Attaches to (or, on
-  /// nullptr, detaches from) the context's device, which consults it in
-  /// read_core and feeds it in write_core.  The cache charges its memory to
-  /// this context's budget and registers itself as the budget's reclaimer —
-  /// algorithms reserving all of M shrink it automatically.  Non-owning;
-  /// main-thread only, at quiescent points.
-  void set_block_cache(BlockCache* cache) noexcept {
-    device_->set_cache(cache);
-  }
-  [[nodiscard]] BlockCache* block_cache() const noexcept {
-    return device_->cache();
   }
 
   /// Configure the multi-process worker layer.  Throws on absurd widths; 0
@@ -425,7 +397,6 @@ class Context {
   std::uint64_t pass_hwm_ = 0;
   std::vector<PassWorkerIo> pass_workers_;
   std::vector<SupervisionEvent> supervision_;
-  std::unique_ptr<IoPipeline> pipeline_;
   std::unique_ptr<ThreadPool> cpu_pool_;
 };
 

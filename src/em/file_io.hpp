@@ -66,16 +66,16 @@ template <EmRecord T>
 [[nodiscard]] std::size_t file_stage_blocks(const Context& ctx) {
   const std::size_t mem_blocks = ctx.mem_bytes() / ctx.block_bytes();
   const std::size_t spare =
-      mem_blocks > ctx.stream_blocks() ? mem_blocks - ctx.stream_blocks() : 1;
+      mem_blocks > ctx.batch_blocks() ? mem_blocks - ctx.batch_blocks() : 1;
   return std::max<std::size_t>(
-      1, std::min(ctx.io_tuning().batch_blocks, spare));
+      1, std::min(ctx.batch_blocks(), spare));
 }
 
 }  // namespace detail
 
 /// Stream a flat record file onto the device as a new EmVector.
 /// Host memory use: one batch of staging blocks plus the writer's buffers,
-/// both budgeted.  The writer inherits the context's batching/async tuning.
+/// both budgeted.  The writer inherits the context's batching tuning.
 template <EmRecord T>
 [[nodiscard]] EmVector<T> import_file(Context& ctx, const std::string& path) {
   const std::size_t n = file_record_count<T>(path);

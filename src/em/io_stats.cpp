@@ -9,10 +9,6 @@ std::ostream& operator<<(std::ostream& os, const IoStats& s) {
      << ", total=" << s.total();
   if (s.retries > 0) os << ", retries=" << s.retries;
   if (s.worker_retries > 0) os << ", worker_retries=" << s.worker_retries;
-  if (s.cache_hits > 0 || s.cache_misses > 0) {
-    os << ", cache_hits=" << s.cache_hits << ", cache_misses=" << s.cache_misses;
-    if (s.cache_evictions > 0) os << ", cache_evictions=" << s.cache_evictions;
-  }
   if (s.bucket_hits > 0) os << ", bucket_hits=" << s.bucket_hits;
   return os << "}";
 }

@@ -18,9 +18,8 @@ namespace emsplit {
 /// expressed in these units.
 ///
 /// This is a plain value type — a snapshot.  The live counters inside
-/// BlockDevice are relaxed atomics (the async I/O worker increments them
-/// concurrently with the main thread); `BlockDevice::stats()` folds them into
-/// an IoStats by value.
+/// BlockDevice are relaxed atomics (concurrent query threads increment them
+/// side by side); `BlockDevice::stats()` folds them into an IoStats by value.
 struct IoStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -39,20 +38,11 @@ struct IoStats {
   /// of a supervised run are identical to the fault-free run, and this field
   /// records the re-executed volume separately.
   std::uint64_t worker_retries = 0;
-  /// Block-cache traffic on this device (em/block_cache.hpp).  A cache hit is
-  /// a *logical* read whose blocks were served from the budget-charged cache
-  /// instead of the backend — the read is still counted in `reads` (the model
-  /// charges block movement into working memory, wherever the bytes came
-  /// from), so the base counts of a cached run are identical to the uncached
-  /// run; hits/misses/evictions only explain where the wall-clock went.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
   /// Service-layer bucket-scan cache traffic (service/splitter_index.hpp).
   /// A bucket-cache hit is a *logical* read whose blocks were served from a
-  /// decoded per-epoch bucket payload instead of the device — like
-  /// `cache_hits`, the read is still counted in `reads` (per-query reads are
-  /// geometry, wherever the bytes came from), so base counts with the bucket
+  /// decoded per-epoch bucket payload instead of the device — the read is
+  /// still counted in `reads` (the model charges block movement into working
+  /// memory, wherever the bytes came from), so base counts with the bucket
   /// cache on equal the uncached run's; this field only explains the
   /// wall-clock.  Counted in blocks, like everything else here.
   std::uint64_t bucket_hits = 0;
@@ -60,8 +50,8 @@ struct IoStats {
   /// Combined I/O count — the quantity the paper's bounds are stated in.
   [[nodiscard]] std::uint64_t total() const noexcept { return reads + writes; }
 
-  /// The snapshot with retries and cache counters zeroed — what determinism
-  /// assertions compare.
+  /// The snapshot with retries and bucket-cache hits zeroed — what
+  /// determinism assertions compare.
   [[nodiscard]] IoStats base() const noexcept { return IoStats{reads, writes}; }
 
   IoStats& operator+=(const IoStats& o) noexcept {
@@ -69,9 +59,6 @@ struct IoStats {
     writes += o.writes;
     retries += o.retries;
     worker_retries += o.worker_retries;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    cache_evictions += o.cache_evictions;
     bucket_hits += o.bucket_hits;
     return *this;
   }
@@ -80,9 +67,6 @@ struct IoStats {
     a.writes -= b.writes;
     a.retries -= b.retries;
     a.worker_retries -= b.worker_retries;
-    a.cache_hits -= b.cache_hits;
-    a.cache_misses -= b.cache_misses;
-    a.cache_evictions -= b.cache_evictions;
     a.bucket_hits -= b.bucket_hits;
     return a;
   }

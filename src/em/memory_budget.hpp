@@ -12,13 +12,13 @@
 // (allocation tables, the recursion stack, I/O counters) is not reserved;
 // DESIGN.md §4 discusses this convention.
 //
-// Reservations are internally synchronized: the block cache
-// (em/block_cache.hpp) charges its entries from I/O worker threads while the
-// main thread reserves algorithm state.  A *reclaimer* callback lets a
-// scavenging consumer (the block cache, the service's bucket-scan cache)
-// hold otherwise-idle budget: when a reservation finds the budget short, the
-// registered reclaimers are asked — outside the budget lock, in registration
-// order — to give bytes back before the reservation is refused.
+// Reservations are internally synchronized: the service's query threads
+// charge their admission and bucket-cache bytes while the main thread
+// reserves algorithm state.  A *reclaimer* callback lets a scavenging
+// consumer (the service's bucket-scan cache) hold otherwise-idle budget:
+// when a reservation finds the budget short, the registered reclaimers are
+// asked — outside the budget lock, in registration order — to give bytes
+// back before the reservation is refused.
 //
 // A *release listener* is the inverse hook: a single callback invoked after
 // every release() that frees bytes, outside the budget lock.  The splitter
@@ -56,8 +56,8 @@ class MemoryReservation;
 /// (em/thread_pool.hpp) receive their scratch from the caller, which sizes
 /// it with try_reserve() before dispatch and falls back to the serial code
 /// path when the budget has no room for per-thread state.  The counters are
-/// mutex-guarded so the block cache may additionally charge and release
-/// entries from I/O worker threads.
+/// mutex-guarded so the service's bucket-scan cache may additionally charge
+/// and release entries from query threads.
 class MemoryBudget {
  public:
   /// Asked to release at least the given number of bytes back to the budget;

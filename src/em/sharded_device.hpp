@@ -10,14 +10,10 @@
 // model").  For any (D, stripe_blocks) the facade performs the same logical
 // transfers, byte for byte and count for count, as a single device.
 //
-// Parallelism: a batched read_blocks / write_blocks extent is split into
+// Dispatch: a batched read_blocks / write_blocks extent is split into
 // per-member sub-batches (each a contiguous member-local run, each writing a
 // disjoint sub-span of the caller's buffer — zero copies, zero extra memory)
-// and issued concurrently, one IoPipeline worker per member.  The facade adds
-// no queueing of its own: a stream's in-flight sub-batches per member are
-// bounded by its `queue_depth`, because each stream batch splits into at most
-// one sub-batch per member.  This reuses the PR-1 worker; there is no second
-// async mechanism.
+// and issued serially on the calling thread, in logical order.
 //
 // Accounting: the members' own counters are the per-shard IoStats, and the
 // facade's totals are their sum (plus facade-level retries, which have no
@@ -44,7 +40,6 @@
 #include <vector>
 
 #include "em/block_device.hpp"
-#include "em/io_pipeline.hpp"
 
 namespace emsplit {
 
@@ -137,17 +132,6 @@ class ShardedBlockDevice final : public BlockDevice {
   /// persistence.  Main-thread only, at a quiescent point.
   void flush_member_sidecars();
 
-  /// Concurrent member sub-batch issue (default on for D > 1 on multi-core
-  /// hosts; single-core hosts default to the serial walk, where worker
-  /// handoffs can only lose).  Off routes every sub-batch serially on the
-  /// calling thread — same transfers, same counts, no worker threads; the
-  /// toggle is pure execution, never geometry.  Main-thread only, at
-  /// quiescent points (workers are torn down / spun up).
-  void set_parallel_io(bool enabled);
-  [[nodiscard]] bool parallel_io() const noexcept {
-    return !pipelines_.empty();
-  }
-
  protected:
   void do_read(BlockId block, std::span<std::byte> out) override;
   void do_write(BlockId block, std::span<const std::byte> in) override;
@@ -185,24 +169,21 @@ class ShardedBlockDevice final : public BlockDevice {
 
   [[nodiscard]] std::vector<Segment> split(BlockId first, std::uint64_t count,
                                            std::size_t span_bytes) const;
-  /// Issue the segments of one logical request — concurrently (one pipeline
-  /// job per involved member) when workers exist and more than one member is
-  /// involved, serially otherwise.  `is_read` selects the member transfer.
-  /// Member DeviceFaults are re-thrown on the *logical* range [first,
+  /// Issue the segments of one logical request in logical order on the
+  /// calling thread.  `is_read` selects the member transfer.  Member
+  /// DeviceFaults are re-thrown on the *logical* range [first,
   /// first + count) with the blocks known transferred as completed().
   void run_segments(bool is_read, BlockId first, std::uint64_t count,
                     const std::vector<Segment>& segs, std::byte* read_base,
                     const std::byte* write_base);
 
-  // Members before pipelines: destruction drains and joins every worker
-  // before any member device dies under it.
   std::vector<std::unique_ptr<BlockDevice>> members_;
   std::size_t stripe_blocks_;
   std::vector<std::string> sidecar_paths_;
   bool preserve_sidecars_ = false;
-  std::vector<std::unique_ptr<IoPipeline>> pipelines_;
   /// Facade-level retries attributed per shard (atomic array: note_retry may
-  /// fire from pipeline workers; atomics are not movable, hence the array).
+  /// fire from concurrent query threads; atomics are not movable, hence the
+  /// array).
   std::unique_ptr<std::atomic<std::uint64_t>[]> facade_retries_by_shard_;
 };
 

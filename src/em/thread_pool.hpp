@@ -1,14 +1,13 @@
 // thread_pool.hpp — the shared CPU worker pool behind parallel kernels.
 //
-// One pool serves a whole Context (created by set_cpu_tuning), the CPU-side
-// sibling of the IoPipeline.  Its only primitive is run(): execute fn(i) for
-// every index i in [0, ntasks), with the calling thread participating, and
-// return when all of them have finished.  Task indices are claimed under the
-// pool mutex in increasing order, so a batch of shard sorts starts in shard
-// order; completion order is of course scheduler-dependent, which is why
-// every parallel kernel in this library is written so that *results* never
-// depend on which thread ran which index (docs/model.md, "CPU parallelism
-// and the determinism contract").
+// One pool serves a whole Context (created by set_cpu_tuning).  Its only
+// primitive is run(): execute fn(i) for every index i in [0, ntasks), with the
+// calling thread participating, and return when all of them have finished.
+// Task indices are claimed under the pool mutex in increasing order, so a
+// batch of shard sorts starts in shard order; completion order is of course
+// scheduler-dependent, which is why every parallel kernel in this library is
+// written so that *results* never depend on which thread ran which index
+// (docs/model.md, "CPU parallelism and the determinism contract").
 //
 // Exceptions thrown by tasks are captured per index; after the batch
 // barrier, run() rethrows the one with the smallest task index.  That makes
@@ -16,7 +15,7 @@
 // a serial left-to-right loop would have hit first.
 //
 // The pool never touches the block device or the MemoryBudget — I/O stays on
-// the main thread (or the IoPipeline worker), and budget reservations are
+// the main thread, and budget reservations are
 // made by the caller before dispatch.  Tasks only read and write memory
 // handed to them by the caller, and run() is a full happens-before barrier
 // in both directions.

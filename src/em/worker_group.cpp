@@ -62,9 +62,6 @@ void put_stats(WireWriter& w, const IoStats& s) {
   w.u64(s.writes);
   w.u64(s.retries);
   w.u64(s.worker_retries);
-  w.u64(s.cache_hits);
-  w.u64(s.cache_misses);
-  w.u64(s.cache_evictions);
 }
 
 IoStats get_stats(WireReader& r) {
@@ -73,9 +70,6 @@ IoStats get_stats(WireReader& r) {
   s.writes = r.u64();
   s.retries = r.u64();
   s.worker_retries = r.u64();
-  s.cache_hits = r.u64();
-  s.cache_misses = r.u64();
-  s.cache_evictions = r.u64();
   return s;
 }
 
@@ -121,13 +115,8 @@ std::optional<Frame> parse_body(std::span<const std::byte> body) {
   const WorkerTuning wt = parent.worker_tuning();
   if (wt.kill_round == round_no && wt.kill_worker == w) ::_exit(137);
   BlockDevice& dev = parent.device();
-  // Drop what must not be shared with the parent (e.g. the inherited uring's
-  // queues) before the first transfer.
+  // Drop what must not be shared with the parent before the first transfer.
   dev.child_after_fork();
-  // The block cache is coordinator state: this child's copy is copy-on-write
-  // and its hits would double-count against the parent's live counters when
-  // the delta is absorbed.  Detach before the first snapshot.
-  dev.set_cache(nullptr);
   // Checksum-table updates from this child's writes die with its address
   // space unless shipped home — track them from here on and put the dirty
   // entries in the frame for the parent to merge.
@@ -144,12 +133,10 @@ std::optional<Frame> parse_body(std::span<const std::byte> body) {
     const std::size_t wmem = std::max(parent.mem_bytes() / wt.mem_workers,
                                       2 * dev.block_bytes());
     Context cctx(dev, wmem);
-    // Same stream geometry as the parent (stream_blocks() ignores `async`),
-    // but one lane and no background thread: a freshly forked child of a
-    // multithreaded parent must not rely on inherited thread state.
-    IoTuning io = parent.io_tuning();
-    io.async = false;
-    cctx.set_io_tuning(io);
+    // Same stream geometry as the parent, but one lane: a freshly forked
+    // child of a multithreaded parent must not rely on inherited thread
+    // state.
+    cctx.set_io_tuning(parent.io_tuning());
     CpuTuning cpu = parent.cpu_tuning();
     cpu.threads = 1;
     cctx.set_cpu_tuning(cpu);
@@ -321,7 +308,7 @@ RoundOutcome WorkerGroup::round_forked(const RoundBody& body) {
   const WorkerTuning wt = ctx_->worker_tuning();
   BlockDevice& dev = ctx_->device();
   // Let the backend reach the state fork sharing needs (materialize shared
-  // pages, settle write-behind) before any child exists.
+  // pages) before any child exists.
   dev.prepare_fork();
   struct Child {
     pid_t pid = -1;

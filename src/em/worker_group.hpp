@@ -26,11 +26,10 @@
 //
 //  * Inline (the fallback): the same work units run sequentially in the
 //    parent, in worker order, with per-worker deltas measured around each
-//    unit set.  Selected when the device is not fork-safe (MemoryBlockDevice
-//    writes would land in copy-on-write pages the parent never sees;
-//    UringBlockDevice's ring must not be driven from two processes), or
-//    under ThreadSanitizer (TSan forbids meaningful work after fork from a
-//    multithreaded process).  Block checksums compose with fork mode: a
+//    unit set.  Selected when the device is not fork-safe (its writes would
+//    land in copy-on-write pages the parent never sees), when
+//    EMSPLIT_WORKERS_INLINE is set, or under ThreadSanitizer (TSan forbids
+//    meaningful work after fork from a multithreaded process).  Block checksums compose with fork mode: a
 //    child tracks its checksum-table updates (BlockDevice::set_sum_tracking)
 //    and ships them home in the result frame, where the parent merges them.
 //
@@ -133,7 +132,8 @@ class WireReader {
   [[nodiscard]] std::vector<T> pod_vec() {
     static_assert(std::is_trivially_copyable_v<T>);
     const std::uint64_t n = u64();
-    if (n * sizeof(T) > data_.size() - off_) {
+    // Compared as a count, not a byte size: n * sizeof(T) could wrap.
+    if (n > (data_.size() - off_) / sizeof(T)) {
       throw std::runtime_error("WireReader: truncated pod_vec");
     }
     std::vector<T> v(static_cast<std::size_t>(n));
@@ -144,6 +144,7 @@ class WireReader {
 
  private:
   void raw(void* p, std::size_t n) {
+    if (n == 0) return;  // an empty vector's data() may be null
     if (n > data_.size() - off_) {
       throw std::runtime_error("WireReader: truncated frame");
     }

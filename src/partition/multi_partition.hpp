@@ -77,13 +77,13 @@ inline constexpr std::size_t kClassifyGrain = 1024;
 /// Distribution fan-out this context supports: d output stream buffers plus
 /// a reader, the transient edge-merge block a RangeWriter flush may need,
 /// and the cut-element table must fit in memory.  Every stream buffers
-/// s = stream_blocks() blocks under the current I/O tuning (s = 1 by
+/// s = batch_blocks() blocks under the current I/O tuning (s = 1 by
 /// default, reproducing the classic geometry).
 template <EmRecord T>
 std::size_t partition_fanout(const Context& ctx) {
   const std::size_t bb = ctx.block_bytes();
   const std::size_t blocks = ctx.mem_bytes() / bb;
-  const std::size_t s = ctx.stream_blocks();
+  const std::size_t s = ctx.batch_blocks();
   if (blocks <= 2 * s + 2) return 2;
   // d stream buffers (s blocks each) + d cut elements + reader (s blocks) +
   // transient merge block + one block of slack must fit:
@@ -419,7 +419,7 @@ std::uint64_t part_fingerprint(const Context& ctx, std::size_t first,
   h = fingerprint_mix(h, n);
   h = fingerprint_mix(h, sizeof(T));
   h = fingerprint_mix(h, ctx.block_records<T>());
-  h = fingerprint_mix(h, ctx.stream_blocks());
+  h = fingerprint_mix(h, ctx.batch_blocks());
   h = fingerprint_mix(h, ctx.mem_records<T>());
   h = fingerprint_mix(h, ranks.size());
   for (const auto r : ranks) h = fingerprint_mix(h, r);

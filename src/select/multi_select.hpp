@@ -62,7 +62,7 @@ std::uint64_t msel_fingerprint(const Context& ctx, std::size_t first,
   h = fingerprint_mix(h, n);
   h = fingerprint_mix(h, sizeof(T));
   h = fingerprint_mix(h, ctx.block_records<T>());
-  h = fingerprint_mix(h, ctx.stream_blocks());
+  h = fingerprint_mix(h, ctx.batch_blocks());
   h = fingerprint_mix(h, ctx.mem_records<T>());
   for (const std::uint64_t r : rs) h = fingerprint_mix(h, r);
   return h;

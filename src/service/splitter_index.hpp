@@ -23,10 +23,9 @@
 // threads, so a query cannot diff the device's shared counters.  Instead
 // each query counts the block reads it issues (deterministic — the set of
 // blocks a query touches is a function of the index geometry, never of
-// concurrent load) and attributes cache hits exactly via the device's
-// thread-confined hit counter (BlockDevice::take_thread_cache_hits).  The
-// sum of per-query base I/O over any schedule equals the serial run's — the
-// service-layer analogue of "geometry, never output".
+// concurrent load).  The sum of per-query base I/O over any schedule equals
+// the serial run's — the service-layer analogue of "geometry, never
+// output".
 //
 // Thread-safety: every query method is const and touches only immutable
 // index state plus the device's internally synchronized transfer path (and
@@ -202,9 +201,9 @@ enum class QueryKind : std::uint8_t { kRank, kRange, kHistogram, kTopK };
 }
 
 /// A query's answer plus the I/O it performed: `io.reads` block reads were
-/// issued by this query (cache_hits of them served from the cache), nothing
-/// else moved.  base() sums over any concurrent schedule equal the serial
-/// run's — the determinism contract tests assert.
+/// issued by this query (bucket_hits of them served from the bucket cache),
+/// nothing else moved.  base() sums over any concurrent schedule equal the
+/// serial run's — the determinism contract tests assert.
 template <typename V>
 struct QueryResult {
   V value{};
@@ -262,10 +261,10 @@ bool append_query_trace_jsonl(const QueryTraceLog& log,
 /// only ever sees E's cache (the kill-mid-refresh sweep asserts cache-hit
 /// epoch == reply epoch per query).
 ///
-/// Like BlockCache, the cache is invisible to the cost model: a hit is still
-/// charged as the bucket's geometric block reads (IoStats::reads), attributed
-/// separately as IoStats::bucket_hits, so per-query base I/O with the cache
-/// on is bit-identical to the uncached run.  Memory is chunk-reserved from
+/// The cache is invisible to the cost model: a hit is still charged as the
+/// bucket's geometric block reads (IoStats::reads), attributed separately as
+/// IoStats::bucket_hits, so per-query base I/O with the cache on is
+/// bit-identical to the uncached run.  Memory is chunk-reserved from
 /// the MemoryBudget (try_reserve, never reclaiming from peers) and shed back
 /// through shed() — the server registers a budget reclaimer that forwards to
 /// the current epoch's cache, so algorithm reservations (a refresh build)
@@ -743,8 +742,7 @@ class SplitterIndex {
   }
 
   /// The device path of scan_bucket: read bucket `j`'s blocks in counted
-  /// batches through the device (and so through the block cache); charges
-  /// the reads and the thread's cache hits to `io`.
+  /// batches through the device; charges the reads to `io`.
   template <typename Visit>
   void scan_bucket_device(std::size_t j, Visit visit, IoStats& io) const {
     const std::size_t per = data_.block_records();
@@ -757,7 +755,6 @@ class SplitterIndex {
         data_.contiguous_layout() ? chunk_blocks() : std::size_t{1};
     auto res = ctx_->budget().reserve(batch * ctx_->block_bytes());
     std::vector<T> buf(batch * per);
-    (void)BlockDevice::take_thread_cache_hits();  // clear stale tally
     for (std::size_t b = first_block; b <= last_block;) {
       const std::size_t nb = std::min(batch, last_block - b + 1);
       data_.read_blocks(b, nb, std::span<T>(buf.data(), nb * per));
@@ -771,9 +768,6 @@ class SplitterIndex {
       }
       b += nb;
     }
-    const std::uint64_t hits = BlockDevice::take_thread_cache_hits();
-    io.cache_hits += hits;
-    io.cache_misses += io.reads >= hits ? io.reads - hits : 0;
   }
 
   /// Append all of bucket `j` to `out`; returns its size.

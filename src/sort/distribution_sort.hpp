@@ -44,7 +44,7 @@ std::uint64_t dsort_fingerprint(const Context& ctx, std::size_t n) {
   h = fingerprint_mix(h, n);
   h = fingerprint_mix(h, sizeof(T));
   h = fingerprint_mix(h, ctx.block_records<T>());
-  h = fingerprint_mix(h, ctx.stream_blocks());
+  h = fingerprint_mix(h, ctx.batch_blocks());
   h = fingerprint_mix(h, ctx.mem_records<T>());
   return h;
 }

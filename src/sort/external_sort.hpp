@@ -51,21 +51,19 @@ using RunOffsets = std::vector<std::size_t>;
 
 /// Phase 1 — split `input` into sorted runs written to a fresh vector.
 ///
-/// Runs are produced through a StreamReader/StreamWriter pair so that the
-/// async tuning's read-ahead and write-behind overlap with the in-memory
-/// sorting: while chunk i sorts (shard-parallel on the CPU pool, see
-/// chunk_sort.hpp), up to queue_depth prefetched groups of chunk i + 1 are
-/// already in flight, and the merged output of chunk i drains behind the
-/// computation.  The chunk size is M minus the two stream footprints —
-/// at the default tuning that is the classic M - 2B, so the default path
-/// reproduces the seed's run geometry and I/O counts exactly.
+/// Runs are produced through a StreamReader/StreamWriter pair; each chunk
+/// sorts in memory (shard-parallel on the CPU pool, see chunk_sort.hpp)
+/// between its read and its write.  The chunk size is M minus the two
+/// stream footprints — at the default tuning that is the classic M - 2B, so
+/// the default path reproduces the seed's run geometry and I/O counts
+/// exactly.
 template <EmRecord T, typename Less>
 std::pair<EmVector<T>, RunOffsets> form_runs(Context& ctx,
                                              const EmVector<T>& input,
                                              Less less) {
   const std::size_t b = ctx.block_records<T>();
   const std::size_t mem = ctx.mem_records<T>();
-  const std::size_t sb = ctx.stream_blocks() * b;  // one stream's records
+  const std::size_t sb = ctx.batch_blocks() * b;  // one stream's records
   EmVector<T> runs(ctx, input.size());
   RunOffsets offsets{0};
   if (mem < 2 * sb + b) {
@@ -158,7 +156,7 @@ std::uint64_t sort_fingerprint(const Context& ctx, std::size_t n,
   h = fingerprint_mix(h, n);
   h = fingerprint_mix(h, sizeof(T));
   h = fingerprint_mix(h, ctx.block_records<T>());
-  h = fingerprint_mix(h, ctx.stream_blocks());
+  h = fingerprint_mix(h, ctx.batch_blocks());
   h = fingerprint_mix(h, ctx.mem_records<T>());
   h = fingerprint_mix(h, static_cast<std::uint64_t>(strategy));
   return h;
@@ -184,11 +182,9 @@ template <EmRecord T, typename Less = std::less<T>>
     Context& ctx, const EmVector<T>& input, Less less = {},
     RunStrategy strategy = RunStrategy::kChunkSort) {
   const std::size_t b = ctx.block_records<T>();
-  // Every stream buffers stream_blocks() blocks (batching x queue depth), so
-  // the fan-in shrinks accordingly: f readers plus one writer must fit in M.
-  // stream_blocks() is tuning-defined and async-agnostic, which keeps sync
-  // and async runs of the same tuning I/O-count identical.
-  const std::size_t s = ctx.stream_blocks();
+  // Every stream buffers batch_blocks() blocks, so the fan-in shrinks
+  // accordingly: f readers plus one writer must fit in M.
+  const std::size_t s = ctx.batch_blocks();
   const std::size_t fan_in =
       std::max<std::size_t>(2, ctx.mem_records<T>() / (b * s) - 1);
 

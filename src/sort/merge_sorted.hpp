@@ -26,9 +26,9 @@ template <EmRecord T, typename Less = std::less<T>>
                                        Less less = {}) {
   if (inputs.empty()) return EmVector<T>(ctx, 0);
   const std::size_t b = ctx.block_records<T>();
-  // As in external_sort: each stream owns stream_blocks() blocks of buffer.
+  // As in external_sort: each stream owns batch_blocks() blocks of buffer.
   const std::size_t fan_in = std::max<std::size_t>(
-      2, ctx.mem_records<T>() / (b * ctx.stream_blocks()) - 1);
+      2, ctx.mem_records<T>() / (b * ctx.batch_blocks()) - 1);
 
   while (inputs.size() > 1) {
     std::vector<EmVector<T>> next;

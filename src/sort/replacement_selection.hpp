@@ -37,10 +37,10 @@ std::pair<EmVector<T>, std::vector<std::size_t>> form_runs_replacement(
   // The run-id tag is the snow plow's memory overhead — it shrinks the heap
   // below M records, which is why the expected run length on random input
   // is 2 * M * sizeof(T)/sizeof(Entry) rather than the textbook 2M.
-  // (The reader and writer each buffer stream_blocks() blocks under the
+  // (The reader and writer each buffer batch_blocks() blocks under the
   // current I/O tuning.)
   const std::size_t heap_cap = std::max<std::size_t>(
-      2, (ctx.mem_bytes() - 2 * ctx.stream_blocks() * b * sizeof(T)) /
+      2, (ctx.mem_bytes() - 2 * ctx.batch_blocks() * b * sizeof(T)) /
              sizeof(Entry));
 
   auto heap_res = ctx.budget().reserve(heap_cap * sizeof(Entry));

@@ -1,17 +1,14 @@
-// Tests for batched multi-block transfers (read_blocks / write_blocks), the
-// IoPipeline worker, and the batched stream / bulk-helper paths.
+// Tests for batched multi-block transfers (read_blocks / write_blocks) and
+// the batched stream / bulk-helper paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "em/block_device.hpp"
 #include "em/context.hpp"
-#include "em/io_pipeline.hpp"
 #include "em/stream.hpp"
 #include "test_helpers.hpp"
 
@@ -188,36 +185,6 @@ TEST(BatchedIoTest, FileDeviceBatchRoundTripAndSparseReads) {
   EXPECT_EQ(dev.stats().writes, 3u);
 }
 
-TEST(IoPipelineTest, RunsJobsInSubmissionOrder) {
-  IoPipeline pipe;
-  std::vector<int> order;
-  std::atomic<int> done{0};
-  IoPipeline::Ticket last = 0;
-  for (int i = 0; i < 16; ++i) {
-    last = pipe.submit([i, &order, &done] {
-      order.push_back(i);  // single worker: no synchronization needed
-      done.fetch_add(1);
-    });
-  }
-  pipe.wait(last);
-  EXPECT_EQ(done.load(), 16);
-  std::vector<int> expect(16);
-  std::iota(expect.begin(), expect.end(), 0);
-  EXPECT_EQ(order, expect);
-}
-
-TEST(IoPipelineTest, WaitRethrowsTheJobsException) {
-  IoPipeline pipe;
-  const auto ok = pipe.submit([] {});
-  const auto bad =
-      pipe.submit([] { throw std::runtime_error("pipeline job failed"); });
-  const auto after = pipe.submit([] {});
-  pipe.wait(ok);
-  EXPECT_THROW(pipe.wait(bad), std::runtime_error);
-  pipe.wait(after);  // a failed job does not wedge the worker
-  pipe.drain();
-}
-
 TEST(BatchedStreamTest, BatchedRoundTripMatchesDefaultTuning) {
   const std::size_t n = 1000;  // not a multiple of any batch geometry
   std::vector<int> data(n);
@@ -234,8 +201,8 @@ TEST(BatchedStreamTest, BatchedRoundTripMatchesDefaultTuning) {
 
   const auto [w0, rw0, out0] = run({1, 0, false});
   EXPECT_EQ(out0, data);
-  for (const IoTuning t : {IoTuning{4, 0, false}, IoTuning{4, 1, false},
-                           IoTuning{3, 2, false}}) {
+  for (const IoTuning t : {IoTuning{4, 0, false}, IoTuning{8, 0, false},
+                           IoTuning{9, 0, false}}) {
     const auto [w, rw, out] = run(t);
     EXPECT_EQ(out, data);
     EXPECT_EQ(w.writes, w0.writes) << "batch=" << t.batch_blocks;
@@ -285,15 +252,15 @@ TEST(BatchedStreamTest, PaddedLayoutFallsBackToSingleBlockBatches) {
     data[i] = Padded{int(i), {char('a' + i % 26)}};
   }
   testutil::EmEnv env(kBlockBytes, 32);
-  env.ctx.set_io_tuning({4, 1, false});
+  env.ctx.set_io_tuning({8, 0, false});
   EmVector<Padded> vec =
       materialize<Padded>(env.ctx, std::span<const Padded>(data));
   EXPECT_EQ(to_host(vec), data);
 }
 
-TEST(AsyncStreamTest, WriterSurfacesDeviceFaults) {
+TEST(BatchedStreamTest, WriterSurfacesDeviceFaults) {
   testutil::EmEnv env(kBlockBytes, 32);
-  env.ctx.set_io_tuning({2, 1, true});
+  env.ctx.set_io_tuning({4, 0, false});
   const std::size_t b = env.ctx.block_records<int>();
   EmVector<int> vec(env.ctx, 40 * b);
   env.dev.arm_fault_after(3);
@@ -307,31 +274,43 @@ TEST(AsyncStreamTest, WriterSurfacesDeviceFaults) {
   env.dev.disarm_fault();
 }
 
-TEST(AsyncStreamTest, ReaderSurvivesSkipAcrossPrefetches) {
+TEST(BatchedStreamTest, ReaderSkipsPastTheBufferedBatch) {
   testutil::EmEnv env(kBlockBytes, 32);
-  env.ctx.set_io_tuning({2, 2, true});
+  env.ctx.set_io_tuning({4, 0, false});
   const std::size_t b = env.ctx.block_records<int>();
   std::vector<int> data(50 * b);
   for (std::size_t i = 0; i < data.size(); ++i) data[i] = int(i);
   EmVector<int> vec = materialize<int>(env.ctx, std::span<const int>(data));
+  env.dev.reset_stats();
 
   StreamReader<int> r(vec);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(r.next(), i);
-  r.skip(30 * b);  // jump far past everything in flight
+  r.skip(30 * b);  // jump far past the resident batch
   EXPECT_EQ(r.next(), int(30 * b + 5));
   while (!r.done()) (void)r.next();
+  // One batch before the skip, then blocks 30..49: the skipped blocks are
+  // never read.
+  EXPECT_EQ(env.dev.stats().reads, 4u + 20u);
 }
 
 TEST(TuningTest, RejectsInvalidTunings) {
   testutil::EmEnv env(kBlockBytes, 8);
   EXPECT_THROW(env.ctx.set_io_tuning({0, 0, false}), std::invalid_argument);
-  // A reader/writer pair at this tuning would need 2*4*(1+1) = 16 > 8 blocks.
-  EXPECT_THROW(env.ctx.set_io_tuning({4, 1, false}), std::invalid_argument);
-  env.ctx.set_io_tuning({2, 1, true});
-  EXPECT_NE(env.ctx.pipeline(), nullptr);
-  env.ctx.set_io_tuning({2, 1, false});
-  EXPECT_EQ(env.ctx.pipeline(), nullptr);
-  EXPECT_EQ(env.ctx.stream_blocks(), 4u);
+  // A reader/writer pair at this tuning would need 2*5 = 10 > 8 blocks.
+  EXPECT_THROW(env.ctx.set_io_tuning({5, 0, false}), std::invalid_argument);
+  env.ctx.set_io_tuning({4, 0, false});
+  EXPECT_EQ(env.ctx.batch_blocks(), 4u);
+}
+
+TEST(TuningTest, RejectsRetiredFields) {
+  testutil::EmEnv env(kBlockBytes, 64);
+  EXPECT_THROW(env.ctx.set_io_tuning({2, 1, false}), std::invalid_argument);
+  EXPECT_THROW(env.ctx.set_io_tuning({2, 0, true}), std::invalid_argument);
+  EXPECT_THROW(env.ctx.set_io_tuning({2, 1, true}), std::invalid_argument);
+  // A rejected tuning leaves the previous one in force.
+  EXPECT_EQ(env.ctx.batch_blocks(), 1u);
+  env.ctx.set_io_tuning({2, 0, false});
+  EXPECT_EQ(env.ctx.batch_blocks(), 2u);
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ std::vector<std::byte> dump(const EmVector<Record>& v) {
 //
 // Captured from the pre-engine tree (commit 9b82cef) with a throwaway
 // harness: geometry 256-byte blocks x 16 memory blocks, n = 20000 uniform
-// records (seed 7), across sync / batched / async tuning and 1 / 4 threads.
+// records (seed 7), across sync / batched tuning and 1 / 4 threads.
 // The engine envelope performs no I/O and makes no geometry decision, so
 // every ported algorithm must reproduce these counts and checksums exactly.
 
@@ -109,16 +109,6 @@ constexpr GoldenRow kGoldens[] = {
     {"dsort", "batched", 4, 42397u, 17285u, 0x4a2be48d0efd7df8ull},
     {"msel", "batched", 4, 89113u, 34457u, 0x108b3050c955022ull},
     {"splitters", "batched", 4, 1669u, 419u, 0x8aedf89767c3a589ull},
-    {"sort", "async", 1, 8750u, 7500u, 0x4a2be48d0efd7df8ull},
-    {"mpart", "async", 1, 30909u, 11922u, 0xd1f3d33cc99c8f24ull},
-    {"dsort", "async", 1, 42397u, 17285u, 0x4a2be48d0efd7df8ull},
-    {"msel", "async", 1, 89113u, 34457u, 0x108b3050c955022ull},
-    {"splitters", "async", 1, 1669u, 419u, 0x8aedf89767c3a589ull},
-    {"sort", "async", 4, 8750u, 7500u, 0x4a2be48d0efd7df8ull},
-    {"mpart", "async", 4, 30909u, 11922u, 0xd1f3d33cc99c8f24ull},
-    {"dsort", "async", 4, 42397u, 17285u, 0x4a2be48d0efd7df8ull},
-    {"msel", "async", 4, 89113u, 34457u, 0x108b3050c955022ull},
-    {"splitters", "async", 4, 1669u, 419u, 0x8aedf89767c3a589ull},
 };
 
 const GoldenRow& golden(const char* algo, const char* mode,
@@ -142,7 +132,6 @@ struct GoldenMode {
 constexpr GoldenMode kGoldenModes[] = {
     {"sync", IoTuning{1, 0, false}},
     {"batched", IoTuning{4, 0, false}},
-    {"async", IoTuning{2, 1, true}},
 };
 
 void check_row(const GoldenRow& g, const IoStats& io, std::uint64_t sum) {

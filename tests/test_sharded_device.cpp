@@ -155,7 +155,6 @@ TEST(ShardedDeterminismTest, MatrixMatchesSingleDevice) {
   const Tuning tunings[] = {
       {"sync", IoTuning{1, 0, false}},
       {"batched", IoTuning{8, 0, false}},
-      {"async", IoTuning{4, 1, true}},
   };
   const std::size_t thread_counts[] = {1, 4};
   const Algo algos[] = {Algo::kSort, Algo::kPartition, Algo::kSelect};
@@ -188,27 +187,6 @@ TEST(ShardedDeterminismTest, MatrixMatchesSingleDevice) {
       }
     }
   }
-}
-
-// Serial vs parallel member submission is pure execution: identical output,
-// identical logical and per-shard accounting.  (The constructor picks the
-// default from the host's core count, so both paths are forced explicitly.)
-TEST(ShardedDeterminismTest, ParallelSubmissionMatchesSerial) {
-  const IoTuning tuning{4, 1, true};
-  auto serial_dev = make_sharded(4, 4);
-  serial_dev->set_parallel_io(false);
-  ASSERT_FALSE(serial_dev->parallel_io());
-  const AlgoResult serial = run_algo(*serial_dev, tuning, 1, Algo::kSort);
-  const auto serial_shards = serial_dev->shard_stats();
-
-  auto parallel_dev = make_sharded(4, 4);
-  parallel_dev->set_parallel_io(true);
-  ASSERT_TRUE(parallel_dev->parallel_io());
-  const AlgoResult parallel = run_algo(*parallel_dev, tuning, 1, Algo::kSort);
-
-  EXPECT_EQ(parallel.checksum, serial.checksum);
-  EXPECT_EQ(parallel.ios, serial.ios);
-  EXPECT_EQ(parallel_dev->shard_stats(), serial_shards);
 }
 
 // ---------------------------------------------------------------------------

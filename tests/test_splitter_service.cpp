@@ -32,9 +32,7 @@
 #include <vector>
 
 #include "core/api.hpp"
-#include "em/block_cache.hpp"
 #include "em/checkpoint.hpp"
-#include "em/uring_device.hpp"
 #include "service/server.hpp"
 #include "service/splitter_index.hpp"
 #include "test_helpers.hpp"
@@ -190,29 +188,20 @@ TEST(SplitterIndexQueries, PerQueryIoSumsToDeviceDelta) {
 }
 
 // ---------------------------------------------------------------------------
-// The service: concurrent clients, every backend, cache on and off.
+// The service: concurrent clients, every backend, bucket cache on and off.
 
-enum class ServiceBackend { kMem, kFile, kUring };
+enum class ServiceBackend { kMem, kFile };
 
 const char* service_backend_name(ServiceBackend b) {
-  switch (b) {
-    case ServiceBackend::kMem: return "Mem";
-    case ServiceBackend::kFile: return "File";
-    default: return "Uring";
-  }
+  return b == ServiceBackend::kMem ? "Mem" : "File";
 }
 
 std::unique_ptr<BlockDevice> make_service_device(ServiceBackend b,
                                                  const std::string& path) {
-  switch (b) {
-    case ServiceBackend::kMem:
-      return std::make_unique<MemoryBlockDevice>(kBlockBytes);
-    case ServiceBackend::kFile:
-      return std::make_unique<FileBlockDevice>(path, kBlockBytes);
-    default:
-      return std::make_unique<UringBlockDevice>(path, kBlockBytes,
-                                                UringBlockDevice::tuned(4));
+  if (b == ServiceBackend::kMem) {
+    return std::make_unique<MemoryBlockDevice>(kBlockBytes);
   }
+  return std::make_unique<FileBlockDevice>(path, kBlockBytes);
 }
 
 /// The fixed query script every client replays: a mix of all four kinds.
@@ -262,15 +251,11 @@ TEST_P(SplitterServiceMatrix, ConcurrentScriptIsDeterministic) {
   const std::string dev_path = temp_path("svc.dev");
   auto dev = make_service_device(backend, dev_path);
   Context ctx(*dev, kMemBlocks * kBlockBytes);
-  std::unique_ptr<BlockCache> cache;
-  if (use_cache) {
-    cache = std::make_unique<BlockCache>(ctx.budget(), kBlockBytes, 64);
-    ctx.set_block_cache(cache.get());
-  }
 
   SplitterServer::Config cfg;
   cfg.source_path = src;
   cfg.buckets = kBuckets;
+  if (use_cache) cfg.bucket_cache_blocks = 64;
   SplitterServer server(ctx, cfg);
   server.start();
   EXPECT_FALSE(server.recovered());
@@ -338,19 +323,15 @@ TEST_P(SplitterServiceMatrix, ConcurrentScriptIsDeterministic) {
   EXPECT_EQ(concurrent_sum.base().writes, 0u);
   EXPECT_EQ(server.served(), (kThreads + 1) * script.size());
   EXPECT_EQ(server.shed(), 0u);
+  EXPECT_EQ(server.bucket_cache() != nullptr, use_cache);
 
-  if (cache) {
-    ctx.set_block_cache(nullptr);
-    cache.reset();
-  }
   std::remove(src.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, SplitterServiceMatrix,
     ::testing::Combine(::testing::Values(ServiceBackend::kMem,
-                                         ServiceBackend::kFile,
-                                         ServiceBackend::kUring),
+                                         ServiceBackend::kFile),
                        ::testing::Bool()),
     [](const auto& p) {
       return std::string(service_backend_name(std::get<0>(p.param))) +

@@ -1,10 +1,10 @@
 // Multi-worker execution layer: W is geometry, never output.
 //
 // The matrix test runs distribution_sort and multi_partition under every
-// combination of worker count W in {1, 2, 4}, I/O tuning (sync, batched,
-// async) and backend (memory, file and io_uring -- all fork-safe since the
-// memory device moved to MAP_SHARED arenas -- plus memory with workers
-// forced inline via EMSPLIT_WORKERS_INLINE) and asserts the whole contract
+// combination of worker count W in {1, 2, 4}, I/O tuning (sync, batched)
+// and backend (memory and file -- both fork-safe since the memory device
+// moved to MAP_SHARED arenas -- plus memory with workers forced inline via
+// EMSPLIT_WORKERS_INLINE) and asserts the whole contract
 // at once: output bytes bit-identical across W, logical IoStats totals
 // identical across W, and every distributed pass's per-worker trace rows
 // partitioning that pass's I/O delta exactly.
@@ -25,9 +25,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,7 +39,6 @@
 #include "dist/dist_plan.hpp"
 #include "em/checkpoint.hpp"
 #include "em/pass_engine.hpp"
-#include "em/uring_device.hpp"
 #include "em/worker_group.hpp"
 #include "test_helpers.hpp"
 
@@ -70,7 +71,6 @@ struct Tuning {
 const Tuning kTunings[] = {
     {"sync", {1, 0, false}},
     {"batched", {4, 0, false}},
-    {"async", {2, 2, true}},
 };
 
 std::vector<Record> dump(const EmVector<Record>& v) {
@@ -111,19 +111,19 @@ struct LegResult {
 
 /// The execution-mode matrix: every backend forks by default (they are all
 /// fork-safe), and kMemInline pins the legacy inline path via the env knob.
-enum class WorkerBackend { kMemInline, kMem, kFile, kUring };
+enum class WorkerBackend { kMemInline, kMem, kFile };
 
 constexpr const char* backend_name(WorkerBackend b) {
   switch (b) {
     case WorkerBackend::kMemInline: return "InlineMemory";
     case WorkerBackend::kMem: return "ForkedMemory";
     case WorkerBackend::kFile: return "ForkedFile";
-    default: return "ForkedUring";
   }
+  return "?";
 }
 
 /// One (backend, tuning, W, op) leg.  `file_path` names the backing file for
-/// the file/uring backends (unused for memory).
+/// the file backend (unused for memory).
 LegResult run_leg(WorkerBackend backend, const std::string& file_path,
                   const IoTuning& io, std::size_t W, bool partition,
                   const std::vector<Record>& host) {
@@ -140,11 +140,6 @@ LegResult run_leg(WorkerBackend backend, const std::string& file_path,
     case WorkerBackend::kFile:
       std::remove(file_path.c_str());
       owned = std::make_unique<FileBlockDevice>(file_path, kBlockBytes);
-      break;
-    case WorkerBackend::kUring:
-      std::remove(file_path.c_str());
-      owned = std::make_unique<UringBlockDevice>(
-          file_path, kBlockBytes, UringBlockDevice::tuned(io.queue_depth));
       break;
   }
   BlockDevice* dev = owned.get();
@@ -243,7 +238,7 @@ TEST_P(WorkerTransparency, OutputAndIoInvariantAcrossW) {
 INSTANTIATE_TEST_SUITE_P(
     Backends, WorkerTransparency,
     ::testing::Values(WorkerBackend::kMemInline, WorkerBackend::kMem,
-                      WorkerBackend::kFile, WorkerBackend::kUring),
+                      WorkerBackend::kFile),
     [](const auto& param_info) { return backend_name(param_info.param); });
 
 // ---------------------------------------------------------------------------
@@ -719,6 +714,32 @@ TEST(WorkerSupervision, MemWorkersBoundsChildPeaksAndStaysWInvariant) {
     ASSERT_EQ(leg.io.reads, ref.io.reads) << "W=" << W;
     ASSERT_EQ(leg.io.writes, ref.io.writes) << "W=" << W;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Wire framing edge cases: every frame a worker sends home goes through
+// WireReader, so a hostile or torn length prefix must fail as a
+// runtime_error, never as undefined behaviour or an allocation blow-up.
+
+TEST(WireFraming, EmptyPodVecRoundTrips) {
+  WireWriter w;
+  w.pod_span(std::span<const std::uint64_t>{});
+  w.u64(7);
+  const std::vector<std::byte> bytes = w.take();
+  WireReader rd(bytes);
+  EXPECT_TRUE(rd.pod_vec<std::uint64_t>().empty());
+  EXPECT_EQ(rd.u64(), 7u);
+  EXPECT_TRUE(rd.done());
+}
+
+TEST(WireFraming, WrappingLengthPrefixIsTruncation) {
+  // 2^61 eight-byte elements: the byte size wraps to 0 in 64 bits.
+  WireWriter w;
+  w.u64(std::uint64_t{1} << 61);
+  w.u64(0);
+  const std::vector<std::byte> bytes = w.take();
+  WireReader rd(bytes);
+  EXPECT_THROW((void)rd.pod_vec<std::uint64_t>(), std::runtime_error);
 }
 
 }  // namespace

@@ -9,21 +9,6 @@ performing the *same* number of I/Os.  Rows whose I/O counts differ are a
 geometry change, not a perf regression — they are reported and skipped, as
 are rows present in only one entry.
 
-With --backends the tool gates the backend matrix instead: in the latest
-entry, every native-uring row must run the same logical I/O count as the
-same-op batched/async rows (backend choice is geometry, never output) and
-must beat the *same entry's* async wall-clock for that op — the io_uring
-ring replaces the positional write-behind pipeline, so it has to pay for
-itself against that baseline measured in the same run, under the same
-machine weather (a cross-entry wall-clock comparison would ratchet every
-appended entry against the fastest machine ever recorded; cross-entry
-drift is the default gate's job).  Rows with a block cache attached
-(cache_blocks > 0) must report cache_hits > 0.  On kernels without
-io_uring (uring_native false) the wall-clock gate is waived and only the
-geometry and cache-hit checks bind.  The "uring-direct" leg runs its own
-O_DIRECT-aligned block geometry and is probe-gated, so it is reported but
-exempt from both the geometry and wall-clock gates.
-
 With --workers the tool gates the multi-process legs of the latest entry:
 for every op with workersN rows, all of them must report identical logical
 I/O counts AND identical output checksums (W is geometry, never output —
@@ -43,19 +28,16 @@ is pure bookkeeping, never a tax.
 With --service the tool gates the resident-server legs of the latest entry
 (op == "service"): every leg answers the same fixed query mix, so all legs
 must report identical per-query I/O sums and identical answer checksums
-(clients, backend and cache are load and geometry, never output — hard
-failures at any threshold), no leg may shed a query or fail a check
-(shed == 0, ok true), cache-backed legs must report cache_hits > 0 —
-likewise bucket_cache_blocks > 0 legs must report bucket_hits > 0 — and
-every leg's wall-clock must stay within --threshold of the single-client
-file baseline (clients == 1, file backend, no cache, no bucket cache, no
-pipelined batch; on a single-core host concurrency cannot win, the gate
-only forbids contention costing more than scheduling overhead should).
-Legs on a fallback uring backend (uring_native false) keep the hard gates
-but waive the wall-clock check.
+(clients and cache are load and geometry, never output — hard failures at
+any threshold), no leg may shed a query or fail a check (shed == 0, ok
+true), bucket_cache_blocks > 0 legs must report bucket_hits > 0, and every
+leg's wall-clock must stay within --threshold of the single-client baseline
+(clients == 1, no bucket cache, no pipelined batch; on a single-core host
+concurrency cannot win, the gate only forbids contention costing more than
+scheduling overhead should).
 
 Usage:
-    tools/bench_compare.py [FILE] [--threshold=0.10] [--backends]
+    tools/bench_compare.py [FILE] [--threshold=0.10]
                            [--workers] [--supervision] [--service]
 
 Exit status: 0 = no regression (including "fewer than two entries"),
@@ -78,82 +60,6 @@ def load_entries(path):
 
 def row_key(row):
     return (row.get("op", "?"), row.get("mode", "?"))
-
-
-def backend_gate(entries):
-    """Gate the latest entry's backend matrix (see module docstring)."""
-    new = entries[-1]
-    new_rows = new.get("rows", [])
-    print(f"bench_compare: backend gate on '{new.get('label', '?')}'")
-
-    failures = 0
-
-    def fail(msg):
-        nonlocal failures
-        failures += 1
-        print(f"  FAIL {msg}", file=sys.stderr)
-
-    by_op = {}
-    for r in new_rows:
-        by_op.setdefault(r.get("op", "?"), []).append(r)
-
-    checked = 0
-    for op, rows in sorted(by_op.items()):
-        uring = [r for r in rows if r.get("backend") == "uring"]
-        if not uring:
-            continue
-        ref = {r.get("mode"): r for r in rows
-               if r.get("mode") in ("batched", "async")}
-        for r in uring:
-            mode = r.get("mode", "?")
-            if mode == "uring-direct":
-                # Own block geometry + probe-gated: report, don't gate.
-                print(f"  note {op}/{mode}: O_DIRECT "
-                      f"{'engaged' if r.get('direct_io') else 'refused'} "
-                      f"({float(r.get('seconds', 0)):.3f}s at "
-                      f"{r.get('ios')} ios); informational only")
-                continue
-            checked += 1
-            # Geometry: backend choice must not move a single logical I/O.
-            for ref_mode, ref_row in sorted(ref.items()):
-                if r.get("ios") != ref_row.get("ios"):
-                    fail(f"{op}/{mode}: ios {r.get('ios')} != "
-                         f"{ref_mode} ios {ref_row.get('ios')}")
-            # Cache rows must actually hit (the counters are live, so zero
-            # means the cache never served a block).
-            if r.get("cache_blocks", 0) > 0 and r.get("cache_hits", 0) <= 0:
-                fail(f"{op}/{mode}: cache_blocks="
-                     f"{r.get('cache_blocks')} but cache_hits=0")
-            # Wall-clock: native ring must beat the same entry's async
-            # baseline — same run, same machine weather, so the check is
-            # deterministic on a committed trajectory file.
-            if not r.get("uring_native", False):
-                print(f"  note {op}/{mode}: fallback backend "
-                      f"(uring_native false); wall-clock gate waived")
-                continue
-            base = ref.get("async")
-            if base is None or base.get("ios") != r.get("ios"):
-                print(f"  note {op}/{mode}: no same-entry async baseline "
-                      f"at equal ios; wall-clock gate skipped")
-                continue
-            bs, ns = float(base.get("seconds", 0)), float(r.get("seconds", 0))
-            verdict = "ok" if ns < bs else "FAIL"
-            print(f"  {verdict:>4} {op}/{mode}: {ns:.3f}s vs async "
-                  f"{bs:.3f}s at {r.get('ios')} ios")
-            if ns >= bs:
-                fail(f"{op}/{mode}: {ns:.3f}s not below same-entry "
-                     f"async {bs:.3f}s")
-
-    if checked == 0:
-        print("bench_compare: no uring rows in the latest entry",
-              file=sys.stderr)
-        return 1
-    if failures:
-        print(f"bench_compare: backend gate failed ({failures} check(s))",
-              file=sys.stderr)
-        return 1
-    print(f"bench_compare: backend gate passed ({checked} uring row(s))")
-    return 0
 
 
 def workers_gate(entries, threshold):
@@ -292,12 +198,11 @@ def service_gate(entries, threshold):
         return 1
 
     base = next((r for r in rows
-                 if r.get("clients") == 1 and r.get("backend") == "file"
-                 and r.get("cache_blocks", 0) == 0
+                 if r.get("clients") == 1
                  and r.get("bucket_cache_blocks", 0) == 0
                  and r.get("batch", 0) == 0), None)
     if base is None:
-        fail("no single-client file baseline leg")
+        fail("no single-client baseline leg")
         base = rows[0]
     bs = float(base.get("seconds", 0))
 
@@ -316,9 +221,6 @@ def service_gate(entries, threshold):
             fail(f"service/{mode}: shed {r.get('shed')} query(ies)")
         if not r.get("ok", False):
             fail(f"service/{mode}: in-binary check failed (ok false)")
-        if r.get("cache_blocks", 0) > 0 and r.get("cache_hits", 0) <= 0:
-            fail(f"service/{mode}: cache_blocks="
-                 f"{r.get('cache_blocks')} but cache_hits=0")
         if (r.get("bucket_cache_blocks", 0) > 0
                 and r.get("bucket_hits", 0) <= 0):
             fail(f"service/{mode}: bucket_cache_blocks="
@@ -327,10 +229,6 @@ def service_gate(entries, threshold):
             print(f"    ok service/{mode}: baseline {bs:.3f}s "
                   f"({float(r.get('qps', 0)):.0f} qps, "
                   f"p99 {1e3 * float(r.get('p99_seconds', 0)):.3f}ms)")
-            continue
-        if r.get("backend") == "uring" and not r.get("uring_native", False):
-            print(f"  note service/{mode}: fallback backend "
-                  f"(uring_native false); wall-clock gate waived")
             continue
         ns = float(r.get("seconds", 0))
         if bs > 0 and ns > bs * (1.0 + threshold):
@@ -352,15 +250,12 @@ def service_gate(entries, threshold):
 def main(argv):
     path = "BENCH_wallclock.json"
     threshold = 0.10
-    backends = False
     workers = False
     supervision = False
     service = False
     for arg in argv[1:]:
         if arg.startswith("--threshold="):
             threshold = float(arg.split("=", 1)[1])
-        elif arg == "--backends":
-            backends = True
         elif arg == "--workers":
             workers = True
         elif arg == "--supervision":
@@ -382,13 +277,11 @@ def main(argv):
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
         return 2
 
-    if backends or workers or supervision or service:
+    if workers or supervision or service:
         if not entries:
             print(f"bench_compare: no entries in {path}", file=sys.stderr)
             return 2
         rc = 0
-        if backends:
-            rc = backend_gate(entries) or rc
         if workers:
             rc = workers_gate(entries, threshold) or rc
         if supervision:

@@ -4,9 +4,9 @@
 // commands (the resident splitter service) need the same Options parsing and
 // Machine assembly as the batch commands, so the plumbing moved into its own
 // translation unit.  The contract is unchanged: global options describe a
-// simulated machine (device backend, budget, cache, journal, trace), and
+// simulated machine (device backend, budget, journal, trace), and
 // make_machine() assembles it with the destruction order the substrate
-// requires (journal before device, cache unhooked before context).
+// requires (journal before device).
 #pragma once
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "em/block_cache.hpp"
 #include "em/checkpoint.hpp"
 #include "em/context.hpp"
 #include "em/pass_engine.hpp"
@@ -27,7 +26,6 @@ struct Options {
   std::size_t block_bytes = 4096;
   std::size_t mem_bytes = 1 << 20;
   std::string backend = "mem";
-  std::size_t cache_blocks = 0;
   std::size_t threads = 1;
   std::size_t sort_shards = 1;
   std::size_t workers = 0;
@@ -44,8 +42,6 @@ struct Options {
   std::size_t shards = 1;
   std::size_t stripe_blocks = 8;
   std::size_t batch_blocks = 1;
-  std::size_t queue_depth = 0;
-  bool async = false;
   std::string trace_path;
   std::uint64_t fault_retries = 0;
   std::uint64_t fault_backoff_us = 0;
@@ -63,9 +59,6 @@ struct Machine {
   std::unique_ptr<BlockDevice> dev;
   std::unique_ptr<CheckpointJournal> journal;
   std::unique_ptr<Context> ctx;
-  // After ctx: the cache must die first (it releases chunks back to the
-  // context's budget in its destructor).
-  std::unique_ptr<BlockCache> cache;
   std::unique_ptr<PassTraceLog> trace;
   std::string trace_path;
 

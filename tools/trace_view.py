@@ -4,19 +4,21 @@
 Every engine-run pass emits one JSON object per line (see pass_trace_json in
 em/pass_engine.cpp).  This tool lays the passes out as a timeline — one row
 per pass with a proportional span bar — plus the columns that explain where
-the cost went: logical I/Os, cache hit rate, the pass's in-memory high-water
-mark, and the shard balance factor (max member share x D; 1.0 = perfectly
+the cost went: logical I/Os, the pass's in-memory high-water mark, and the
+shard balance factor (max member share x D; 1.0 = perfectly
 even striping).  Distributed passes (run under --workers=W) additionally
 list one indented sub-row per worker: its share of the pass's I/O, its busy
 seconds, and how long it waited at the closing barrier for the slowest
 peer.  Traces written before the worker layer existed simply lack the
-"workers" key and render exactly as before.
+"workers" key and render exactly as before; traces that still carry the
+retired block-cache counters ("cache_hits", "cache_misses") render too, the
+counters are ignored.
 
 The splitter service appends QueryTrace rows to the same file (see
 query_trace_json in service/splitter_index.cpp); they lead with a "query"
 key where pass rows lead with "job".  Query rows are aggregated into a
 per-kind summary below the pass timeline: request count, admission
-breakdown, logical reads, cache hit rate, and p50/p99 service latency.
+breakdown, logical reads, and p50/p99 service latency.
 Below that, a per-epoch summary shows each served epoch's query count,
 p50/p99 latency, bucket-cache hit rate (bucket_hits / reads) and summed
 admission queueing — traces written before the bucket cache existed simply
@@ -61,14 +63,6 @@ def load_rows(stream):
     return rows
 
 
-def hit_rate(row):
-    hits = int(row.get("cache_hits", 0))
-    misses = int(row.get("cache_misses", 0))
-    if hits + misses == 0:
-        return "-"
-    return f"{100.0 * hits / (hits + misses):.0f}%"
-
-
 def span_bar(start, dur, total, width):
     """A proportional [start, start+dur) bar on a `width`-char timeline."""
     if total <= 0:
@@ -95,7 +89,7 @@ def render_queries(rows, out=sys.stdout):
         by_kind.setdefault(str(r.get("query", "?")), []).append(r)
 
     print(f"  {'query':<10} {'n':>6} {'admit':>6} {'shed':>5} {'err':>5} "
-          f"{'reads':>9} {'hit%':>5} {'p50 ms':>8} {'p99 ms':>8}  epochs",
+          f"{'reads':>9} {'p50 ms':>8} {'p99 ms':>8}  epochs",
           file=out)
     for kind, qrows in sorted(by_kind.items()):
         admit = sum(1 for r in qrows
@@ -103,10 +97,6 @@ def render_queries(rows, out=sys.stdout):
         shed = sum(1 for r in qrows if r.get("admission") == "shed")
         err = sum(1 for r in qrows if r.get("admission") == "error")
         reads = sum(int(r.get("reads", 0)) for r in qrows)
-        hits = sum(int(r.get("cache_hits", 0)) for r in qrows)
-        misses = sum(int(r.get("cache_misses", 0)) for r in qrows)
-        hit = f"{100.0 * hits / (hits + misses):.0f}%" if hits + misses \
-            else "-"
         lat = sorted(float(r.get("seconds", 0)) for r in qrows
                      if r.get("admission") in ("admit", "queued"))
         p50 = 1e3 * percentile(lat, 0.50)
@@ -115,7 +105,7 @@ def render_queries(rows, out=sys.stdout):
         span = (f"{epochs[0]}" if len(epochs) == 1
                 else f"{epochs[0]}-{epochs[-1]}") if epochs else "-"
         print(f"  {kind:<10} {len(qrows):>6} {admit:>6} {shed:>5} {err:>5} "
-              f"{reads:>9} {hit:>5} {p50:>8.3f} {p99:>8.3f}  {span}",
+              f"{reads:>9} {p50:>8.3f} {p99:>8.3f}  {span}",
               file=out)
 
     total = len(rows)
@@ -153,7 +143,7 @@ def render(rows, width, out=sys.stdout):
                    for r in timed)
 
     header = (f"  {'#':>2} {'job/pass':<28} {'reads':>9} {'writes':>9} "
-              f"{'hit%':>5} {'hwm':>9} {'bal':>5} {'secs':>8}  "
+              f"{'hwm':>9} {'bal':>5} {'secs':>8}  "
               f"timeline ({total:.3f}s total)")
     print(header, file=out)
     start = 0.0
@@ -166,7 +156,7 @@ def render(rows, width, out=sys.stdout):
             name = name[:27] + "…"
         if r.get("resumed", False):
             print(f"  {r.get('index', 0):>2} {name:<28} "
-                  f"{'-':>9} {'-':>9} {'-':>5} {'-':>9} {'-':>5} {'-':>8}  "
+                  f"{'-':>9} {'-':>9} {'-':>9} {'-':>5} {'-':>8}  "
                   f"[resumed from checkpoint]", file=out)
             continue
         secs = float(r.get("seconds", 0))
@@ -175,14 +165,14 @@ def render(rows, width, out=sys.stdout):
         bar = span_bar(start, secs, total, width)
         print(f"  {r.get('index', 0):>2} {name:<28} "
               f"{int(r.get('reads', 0)):>9} {int(r.get('writes', 0)):>9} "
-              f"{hit_rate(r):>5} {human_bytes(int(r.get('hwm_bytes', 0))):>9} "
+              f"{human_bytes(int(r.get('hwm_bytes', 0))):>9} "
               f"{bal:>5} {secs:>8.3f}  {bar}", file=out)
         for w in r.get("workers", []):
             wname = f"└ worker {int(w.get('id', 0))}"
             wait = float(w.get("barrier_seconds", 0.0))
             print(f"     {wname:<28} "
                   f"{int(w.get('reads', 0)):>9} {int(w.get('writes', 0)):>9} "
-                  f"{'-':>5} {'-':>9} {'-':>5} "
+                  f"{'-':>9} {'-':>5} "
                   f"{float(w.get('seconds', 0.0)):>8.3f}  "
                   f"barrier wait {wait:.3f}s", file=out)
         start += secs
