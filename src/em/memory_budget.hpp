@@ -52,12 +52,9 @@ class BudgetExceeded : public std::logic_error {
 class MemoryReservation;
 
 /// Tracks reserved bytes against a fixed capacity, with a peak high-water
-/// mark.  Algorithm reservations are made on the main thread; CPU pool tasks
-/// (em/thread_pool.hpp) receive their scratch from the caller, which sizes
-/// it with try_reserve() before dispatch and falls back to the serial code
-/// path when the budget has no room for per-thread state.  The counters are
-/// mutex-guarded so the service's bucket-scan cache may additionally charge
-/// and release entries from query threads.
+/// mark.  Algorithm reservations are made on the main thread.  The counters
+/// are mutex-guarded so the service's admission control and bucket-scan
+/// cache may additionally charge and release entries from query threads.
 class MemoryBudget {
  public:
   /// Asked to release at least the given number of bytes back to the budget;
@@ -119,8 +116,8 @@ class MemoryBudget {
   [[nodiscard]] MemoryReservation reserve(std::size_t bytes);
 
   /// Reserve `bytes` if they fit, nullopt otherwise.  For *optional* state —
-  /// parallel kernels use it for per-thread scratch and degrade to their
-  /// serial loop when M is too tight, rather than failing the run.  With
+  /// the service's admission tickets and cached bucket scans wait or shed
+  /// when M is too tight, rather than failing the run.  With
   /// `allow_reclaim` (the default) a shortfall first asks the reclaimer to
   /// release scavenged bytes, so optional state sees the same budget it
   /// would without a cache attached; the cache's own growth passes false —

@@ -31,18 +31,6 @@ constexpr std::uint64_t kFrameMagic = 0x454D'5750'524Bull;
 constexpr std::size_t kHeaderBytes = 3 * sizeof(std::uint64_t);
 constexpr std::uint64_t kMaxBodyBytes = 1ull << 34;
 
-#if defined(__SANITIZE_THREAD__)
-constexpr bool kThreadSanitizer = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-constexpr bool kThreadSanitizer = true;
-#else
-constexpr bool kThreadSanitizer = false;
-#endif
-#else
-constexpr bool kThreadSanitizer = false;
-#endif
-
 bool write_full(int fd, const void* p, std::size_t n) noexcept {
   const char* b = static_cast<const char*>(p);
   while (n > 0) {
@@ -133,13 +121,8 @@ std::optional<Frame> parse_body(std::span<const std::byte> body) {
     const std::size_t wmem = std::max(parent.mem_bytes() / wt.mem_workers,
                                       2 * dev.block_bytes());
     Context cctx(dev, wmem);
-    // Same stream geometry as the parent, but one lane: a freshly forked
-    // child of a multithreaded parent must not rely on inherited thread
-    // state.
+    // Same stream geometry as the parent.
     cctx.set_io_tuning(parent.io_tuning());
-    CpuTuning cpu = parent.cpu_tuning();
-    cpu.threads = 1;
-    cctx.set_cpu_tuning(cpu);
     const auto t0 = std::chrono::steady_clock::now();
     const std::vector<std::byte> payload = body(cctx, w);
     const double busy =
@@ -236,8 +219,8 @@ WorkerGroup::WorkerGroup(Context& ctx)
     throw std::invalid_argument("WorkerGroup: workers must be >= 1");
   }
   BlockDevice& dev = ctx.device();
-  forked_ = dev.fork_safe() && !kThreadSanitizer &&
-            std::getenv("EMSPLIT_WORKERS_INLINE") == nullptr;
+  forked_ =
+      dev.fork_safe() && std::getenv("EMSPLIT_WORKERS_INLINE") == nullptr;
 }
 
 RoundOutcome WorkerGroup::round(const char* label, const RoundBody& body) {

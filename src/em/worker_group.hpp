@@ -27,11 +27,11 @@
 //  * Inline (the fallback): the same work units run sequentially in the
 //    parent, in worker order, with per-worker deltas measured around each
 //    unit set.  Selected when the device is not fork-safe (its writes would
-//    land in copy-on-write pages the parent never sees), when
-//    EMSPLIT_WORKERS_INLINE is set, or under ThreadSanitizer (TSan forbids
-//    meaningful work after fork from a multithreaded process).  Block checksums compose with fork mode: a
-//    child tracks its checksum-table updates (BlockDevice::set_sum_tracking)
-//    and ships them home in the result frame, where the parent merges them.
+//    land in copy-on-write pages the parent never sees) or when
+//    EMSPLIT_WORKERS_INLINE is set.  Block checksums compose with fork
+//    mode: a child tracks its checksum-table updates
+//    (BlockDevice::set_sum_tracking) and ships them home in the result
+//    frame, where the parent merges them.
 //
 // Both modes execute the *same* unit schedule in the same order per worker —
 // mode, like W itself, is geometry, never output.

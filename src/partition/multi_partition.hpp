@@ -39,9 +39,7 @@
 #include "em/pass_engine.hpp"
 #include "em/em_vector.hpp"
 #include "em/stream.hpp"
-#include "em/thread_pool.hpp"
 #include "select/linear_splitters.hpp"
-#include "sort/chunk_sort.hpp"
 
 namespace emsplit {
 
@@ -68,11 +66,6 @@ struct MultiPartitionResult {
 };
 
 namespace detail {
-
-/// Below this many resident records a classification batch is not worth a
-/// pool dispatch; the serial per-record loop runs instead.  An execution
-/// threshold, not geometry: both paths push the same sequence.
-inline constexpr std::size_t kClassifyGrain = 1024;
 
 /// Distribution fan-out this context supports: d output stream buffers plus
 /// a reader, the transient edge-merge block a RangeWriter flush may need,
@@ -175,16 +168,13 @@ void partition_node(Context& ctx, const EmVector<T>* root, std::size_t first,
     // Memory-sized piece: sort it in memory; the sorted run realizes every
     // remaining rank at once.  This caps the recursion depth at
     // O(log_{M/B} min{K, N/M'}) — the min{...} terms in the paper's
-    // Theorems 3 and 6.  The sort is shard-parallel (chunk_sort.hpp); the
-    // merged push sequence is the same as a single std::sort's, so the
-    // RangeWriter performs identical I/O.
+    // Theorems 3 and 6.
     auto res = ctx.budget().reserve(n * sizeof(T));
     std::vector<T> buf(n);
     load_range<T>(src, first, buf);
-    const auto shards = sort_shards_in_place<T>(ctx, std::span<T>(buf), less);
+    std::sort(buf.begin(), buf.end(), less);
     RangeWriter<T> writer(out, out_offset);
-    merge_shards<T>(std::span<const T>(buf), shards, less,
-                    [&writer](const T& v) { writer.push(v); });
+    for (const T& v : buf) writer.push(v);
     writer.finish();
     spans.push_back({out_offset, out_offset + n, true});
     owned.reset();
@@ -344,40 +334,18 @@ std::vector<PendingBucket<T>> distribute_piece(
             std::make_unique<StreamWriter<T>>(sinks[q].scratch);
       }
     }
-    // Pivot classification is data-parallel over each resident block batch:
-    // lanes fill a per-record bucket-index array concurrently, then the main
-    // thread pushes the records in stream order — the sink push sequence
-    // (and hence every write) is identical to the serial loop's for any
-    // thread count.  The index array is optional scratch: when the budget
-    // is too tight next to the sink buffers (or the batch is too small to
-    // pay for a dispatch), the per-record serial path runs instead.
+    // Pivot classification: each record goes to the bucket of the first
+    // cut element not below it, in stream order.
     auto classify = [&](const T& e) {
       const auto it = std::lower_bound(
           cut_elems.begin(), cut_elems.end(), e,
           [&](const T& p, const T& x) { return less(p, x); });
       return static_cast<std::size_t>(it - cut_elems.begin());
     };
-    ThreadPool* pool = ctx.cpu_pool();
-    LaneScratch<std::uint32_t> idx(
-        ctx, pool != nullptr
-                 ? ctx.io_tuning().batch_blocks * ctx.block_records<T>()
-                 : 0);
     StreamReader<T> reader(src, first, last);
     while (!reader.done()) {
       const std::span<const T> sp = reader.peek_span();
-      if (sp.size() >= kClassifyGrain && sp.size() <= idx.size()) {
-        const std::size_t lanes = ctx.cpu_lanes();
-        pool->run(lanes, [&](std::size_t t) {
-          const std::size_t beg = sp.size() * t / lanes;
-          const std::size_t end = sp.size() * (t + 1) / lanes;
-          for (std::size_t i = beg; i < end; ++i) {
-            idx[i] = static_cast<std::uint32_t>(classify(sp[i]));
-          }
-        });
-        for (std::size_t i = 0; i < sp.size(); ++i) sinks[idx[i]].push(sp[i]);
-      } else {
-        for (const T& e : sp) sinks[classify(e)].push(e);
-      }
+      for (const T& e : sp) sinks[classify(e)].push(e);
       reader.consume(sp.size());
     }
     for (auto& sink : sinks) {

@@ -329,9 +329,6 @@ bool SplitterServer::recover() {
     uppers[i] = Record{p[3 + static_cast<std::size_t>(kk) + 2 * i],
                        p[4 + static_cast<std::size_t>(kk) + 2 * i]};
   }
-  if (bounds.back() != st->size) {
-    throw std::runtime_error("service: corrupt epoch payload (size)");
-  }
   EmVector<Record> view = EmVector<Record>::adopt(
       *ctx_, st->extent, static_cast<std::size_t>(st->size), /*owning=*/false);
   auto built = std::make_unique<Index>(Index::adopt(

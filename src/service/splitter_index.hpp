@@ -524,19 +524,32 @@ class SplitterIndex {
 
   /// Re-bind an index over storage recovered from the checkpoint journal:
   /// `data` is a (typically non-owning) vector over the published extent,
-  /// `bounds`/`uppers` were decoded from the journal payload.  No I/O.
+  /// `bounds`/`uppers` were decoded from the journal payload.  No I/O, but
+  /// an O(K) check that the pair describes a partitioning of `data`: bounds
+  /// start at 0, never decrease and end at data.size(), and the uppers never
+  /// decrease under `less`.  Throws std::invalid_argument otherwise, so a
+  /// corrupt epoch is refused instead of served.
   static SplitterIndex adopt(Context& ctx, EmVector<T> data,
                              std::vector<std::uint64_t> bounds,
                              std::vector<T> uppers, Less less = {}) {
+    if (bounds.size() < 2 || uppers.size() + 1 != bounds.size()) {
+      throw std::invalid_argument("SplitterIndex::adopt: malformed bounds");
+    }
+    if (bounds.front() != 0 || bounds.back() != data.size() ||
+        !std::is_sorted(bounds.begin(), bounds.end())) {
+      throw std::invalid_argument(
+          "SplitterIndex::adopt: bounds do not partition the data");
+    }
+    if (!std::is_sorted(uppers.begin(), uppers.end(), less)) {
+      throw std::invalid_argument(
+          "SplitterIndex::adopt: bucket maxima decrease");
+    }
     SplitterIndex idx;
     idx.ctx_ = &ctx;
     idx.less_ = less;
     idx.data_ = std::move(data);
     idx.bounds_ = std::move(bounds);
     idx.uppers_ = std::move(uppers);
-    if (idx.bounds_.size() < 2 || idx.uppers_.size() + 1 != idx.bounds_.size()) {
-      throw std::invalid_argument("SplitterIndex::adopt: malformed bounds");
-    }
     return idx;
   }
 

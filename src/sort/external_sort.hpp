@@ -23,7 +23,6 @@
 #include "em/pass_engine.hpp"
 #include "em/em_vector.hpp"
 #include "em/stream.hpp"
-#include "sort/chunk_sort.hpp"
 #include "sort/loser_tree.hpp"
 #include "sort/replacement_selection.hpp"
 
@@ -52,11 +51,10 @@ using RunOffsets = std::vector<std::size_t>;
 /// Phase 1 — split `input` into sorted runs written to a fresh vector.
 ///
 /// Runs are produced through a StreamReader/StreamWriter pair; each chunk
-/// sorts in memory (shard-parallel on the CPU pool, see chunk_sort.hpp)
-/// between its read and its write.  The chunk size is M minus the two
-/// stream footprints — at the default tuning that is the classic M - 2B, so
-/// the default path reproduces the seed's run geometry and I/O counts
-/// exactly.
+/// sorts in memory between its read and its write.  The chunk size is M
+/// minus the two stream footprints — at the default tuning that is the
+/// classic M - 2B, so the default path reproduces the seed's run geometry
+/// and I/O counts exactly.
 template <EmRecord T, typename Less>
 std::pair<EmVector<T>, RunOffsets> form_runs(Context& ctx,
                                              const EmVector<T>& input,
@@ -98,9 +96,8 @@ std::pair<EmVector<T>, RunOffsets> form_runs(Context& ctx,
         got += take;
       }
       const auto span = std::span<T>(buf).first(len);
-      const auto shards = sort_shards_in_place<T>(ctx, span, less);
-      merge_shards<T>(span, shards, less,
-                      [&writer](const T& v) { writer.push(v); });
+      std::sort(span.begin(), span.end(), less);
+      for (const T& v : span) writer.push(v);
       offsets.push_back(offsets.back() + len);
     }
     writer.finish();

@@ -1,8 +1,8 @@
 // Tests for the pass engine (em/pass_engine.hpp): differential goldens
 // pinning the refactor to the pre-engine behavior, PassTrace accounting,
 // per-pass PhaseProfile attribution for distribution sort and
-// multi-selection, LaneScratch budget semantics, and distribution sort's
-// checkpoint/resume lifecycle (including the final-pass begin-marker).
+// multi-selection, and distribution sort's checkpoint/resume lifecycle
+// (including the final-pass begin-marker).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -39,7 +39,7 @@ std::vector<std::byte> dump(const EmVector<Record>& v) {
 //
 // Captured from the pre-engine tree (commit 9b82cef) with a throwaway
 // harness: geometry 256-byte blocks x 16 memory blocks, n = 20000 uniform
-// records (seed 7), across sync / batched tuning and 1 / 4 threads.
+// records (seed 7), across sync / batched tuning.
 // The engine envelope performs no I/O and makes no geometry decision, so
 // every ported algorithm must reproduce these counts and checksums exactly.
 
@@ -82,44 +82,31 @@ std::vector<std::uint64_t> golden_select_ranks() {
 struct GoldenRow {
   const char* algo;
   const char* mode;
-  std::size_t threads;
   std::uint64_t reads;
   std::uint64_t writes;
   std::uint64_t sum;
 };
 
 constexpr GoldenRow kGoldens[] = {
-    {"sort", "sync", 1, 5000u, 3750u, 0x4a2be48d0efd7df8ull},
-    {"mpart", "sync", 1, 9788u, 3449u, 0x9261eb9df34114c0ull},
-    {"dsort", "sync", 1, 16020u, 6776u, 0x4a2be48d0efd7df8ull},
-    {"msel", "sync", 1, 13010u, 3938u, 0x108b3050c955022ull},
-    {"splitters", "sync", 1, 1669u, 419u, 0x8aedf89767c3a589ull},
-    {"sort", "sync", 4, 5000u, 3750u, 0x4a2be48d0efd7df8ull},
-    {"mpart", "sync", 4, 9788u, 3449u, 0x9261eb9df34114c0ull},
-    {"dsort", "sync", 4, 16020u, 6776u, 0x4a2be48d0efd7df8ull},
-    {"msel", "sync", 4, 13010u, 3938u, 0x108b3050c955022ull},
-    {"splitters", "sync", 4, 1669u, 419u, 0x8aedf89767c3a589ull},
-    {"sort", "batched", 1, 8750u, 7500u, 0x4a2be48d0efd7df8ull},
-    {"mpart", "batched", 1, 30909u, 11922u, 0xd1f3d33cc99c8f24ull},
-    {"dsort", "batched", 1, 42397u, 17285u, 0x4a2be48d0efd7df8ull},
-    {"msel", "batched", 1, 89113u, 34457u, 0x108b3050c955022ull},
-    {"splitters", "batched", 1, 1669u, 419u, 0x8aedf89767c3a589ull},
-    {"sort", "batched", 4, 8750u, 7500u, 0x4a2be48d0efd7df8ull},
-    {"mpart", "batched", 4, 30909u, 11922u, 0xd1f3d33cc99c8f24ull},
-    {"dsort", "batched", 4, 42397u, 17285u, 0x4a2be48d0efd7df8ull},
-    {"msel", "batched", 4, 89113u, 34457u, 0x108b3050c955022ull},
-    {"splitters", "batched", 4, 1669u, 419u, 0x8aedf89767c3a589ull},
+    {"sort", "sync", 5000u, 3750u, 0x4a2be48d0efd7df8ull},
+    {"mpart", "sync", 9788u, 3449u, 0x9261eb9df34114c0ull},
+    {"dsort", "sync", 16020u, 6776u, 0x4a2be48d0efd7df8ull},
+    {"msel", "sync", 13010u, 3938u, 0x108b3050c955022ull},
+    {"splitters", "sync", 1669u, 419u, 0x8aedf89767c3a589ull},
+    {"sort", "batched", 8750u, 7500u, 0x4a2be48d0efd7df8ull},
+    {"mpart", "batched", 30909u, 11922u, 0xd1f3d33cc99c8f24ull},
+    {"dsort", "batched", 42397u, 17285u, 0x4a2be48d0efd7df8ull},
+    {"msel", "batched", 89113u, 34457u, 0x108b3050c955022ull},
+    {"splitters", "batched", 1669u, 419u, 0x8aedf89767c3a589ull},
 };
 
-const GoldenRow& golden(const char* algo, const char* mode,
-                        std::size_t threads) {
+const GoldenRow& golden(const char* algo, const char* mode) {
   for (const GoldenRow& g : kGoldens) {
-    if (std::strcmp(g.algo, algo) == 0 && std::strcmp(g.mode, mode) == 0 &&
-        g.threads == threads) {
+    if (std::strcmp(g.algo, algo) == 0 && std::strcmp(g.mode, mode) == 0) {
       return g;
     }
   }
-  ADD_FAILURE() << "no golden for " << algo << "/" << mode << "/" << threads;
+  ADD_FAILURE() << "no golden for " << algo << "/" << mode;
   static GoldenRow none{};
   return none;
 }
@@ -135,73 +122,62 @@ constexpr GoldenMode kGoldenModes[] = {
 };
 
 void check_row(const GoldenRow& g, const IoStats& io, std::uint64_t sum) {
-  EXPECT_EQ(io.reads, g.reads) << g.algo << "/" << g.mode << "/" << g.threads;
-  EXPECT_EQ(io.writes, g.writes) << g.algo << "/" << g.mode << "/"
-                                 << g.threads;
-  EXPECT_EQ(sum, g.sum) << g.algo << "/" << g.mode << "/" << g.threads;
+  EXPECT_EQ(io.reads, g.reads) << g.algo << "/" << g.mode;
+  EXPECT_EQ(io.writes, g.writes) << g.algo << "/" << g.mode;
+  EXPECT_EQ(sum, g.sum) << g.algo << "/" << g.mode;
 }
 
 TEST(PassEngineGoldens, MatchPreRefactorIoCountsAndChecksums) {
   const auto host = make_workload(Workload::kUniform, kGoldenRecords, 7);
   for (const GoldenMode& mode : kGoldenModes) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      {
-        EmEnv env;
-        env.ctx.set_io_tuning(mode.io);
-        env.ctx.set_cpu_tuning(CpuTuning{threads, 1});
-        auto in = materialize<Record>(env.ctx, host);
-        env.dev.reset_stats();
-        auto out = external_sort<Record>(env.ctx, in);
-        check_row(golden("sort", mode.name, threads), env.dev.stats(),
-                  checksum_em(out));
+    {
+      EmEnv env;
+      env.ctx.set_io_tuning(mode.io);
+      auto in = materialize<Record>(env.ctx, host);
+      env.dev.reset_stats();
+      auto out = external_sort<Record>(env.ctx, in);
+      check_row(golden("sort", mode.name), env.dev.stats(), checksum_em(out));
+    }
+    {
+      EmEnv env;
+      env.ctx.set_io_tuning(mode.io);
+      auto in = materialize<Record>(env.ctx, host);
+      std::vector<std::uint64_t> ranks;
+      for (std::uint64_t r = 1250; r < kGoldenRecords; r += 1250) {
+        ranks.push_back(r);
       }
-      {
-        EmEnv env;
-        env.ctx.set_io_tuning(mode.io);
-        env.ctx.set_cpu_tuning(CpuTuning{threads, 1});
-        auto in = materialize<Record>(env.ctx, host);
-        std::vector<std::uint64_t> ranks;
-        for (std::uint64_t r = 1250; r < kGoldenRecords; r += 1250) {
-          ranks.push_back(r);
-        }
-        env.dev.reset_stats();
-        auto res = multi_partition<Record>(env.ctx, in, ranks);
-        std::uint64_t sum = checksum_em(res.data);
-        for (const auto b : res.bounds) sum = fnv(sum, b);
-        check_row(golden("mpart", mode.name, threads), env.dev.stats(), sum);
-      }
-      {
-        EmEnv env;
-        env.ctx.set_io_tuning(mode.io);
-        env.ctx.set_cpu_tuning(CpuTuning{threads, 1});
-        auto in = materialize<Record>(env.ctx, host);
-        env.dev.reset_stats();
-        auto out = distribution_sort<Record>(env.ctx, in);
-        check_row(golden("dsort", mode.name, threads), env.dev.stats(),
-                  checksum_em(out));
-      }
-      {
-        EmEnv env;
-        env.ctx.set_io_tuning(mode.io);
-        env.ctx.set_cpu_tuning(CpuTuning{threads, 1});
-        auto in = materialize<Record>(env.ctx, host);
-        env.dev.reset_stats();
-        auto ans = multi_select<Record>(env.ctx, in, golden_select_ranks());
-        check_row(golden("msel", mode.name, threads), env.dev.stats(),
-                  checksum_host(ans));
-      }
-      {
-        EmEnv env;
-        env.ctx.set_io_tuning(mode.io);
-        env.ctx.set_cpu_tuning(CpuTuning{threads, 1});
-        auto in = materialize<Record>(env.ctx, host);
-        env.dev.reset_stats();
-        auto ls = linear_splitters<Record>(env.ctx, in);
-        std::uint64_t sum = checksum_host(ls.splitters);
-        sum = fnv(sum, ls.bucket_bound);
-        check_row(golden("splitters", mode.name, threads), env.dev.stats(),
-                  sum);
-      }
+      env.dev.reset_stats();
+      auto res = multi_partition<Record>(env.ctx, in, ranks);
+      std::uint64_t sum = checksum_em(res.data);
+      for (const auto b : res.bounds) sum = fnv(sum, b);
+      check_row(golden("mpart", mode.name), env.dev.stats(), sum);
+    }
+    {
+      EmEnv env;
+      env.ctx.set_io_tuning(mode.io);
+      auto in = materialize<Record>(env.ctx, host);
+      env.dev.reset_stats();
+      auto out = distribution_sort<Record>(env.ctx, in);
+      check_row(golden("dsort", mode.name), env.dev.stats(), checksum_em(out));
+    }
+    {
+      EmEnv env;
+      env.ctx.set_io_tuning(mode.io);
+      auto in = materialize<Record>(env.ctx, host);
+      env.dev.reset_stats();
+      auto ans = multi_select<Record>(env.ctx, in, golden_select_ranks());
+      check_row(golden("msel", mode.name), env.dev.stats(),
+                checksum_host(ans));
+    }
+    {
+      EmEnv env;
+      env.ctx.set_io_tuning(mode.io);
+      auto in = materialize<Record>(env.ctx, host);
+      env.dev.reset_stats();
+      auto ls = linear_splitters<Record>(env.ctx, in);
+      std::uint64_t sum = checksum_host(ls.splitters);
+      sum = fnv(sum, ls.bucket_bound);
+      check_row(golden("splitters", mode.name), env.dev.stats(), sum);
     }
   }
 }
@@ -236,7 +212,6 @@ TEST(PassTraceTest, ExternalSortEmitsOneRowPerPass) {
     EXPECT_GT(t.io.total(), 0u);
     EXPECT_EQ(t.bytes, t.io.total() * env.dev.block_bytes());
     EXPECT_GE(t.seconds, 0.0);
-    EXPECT_EQ(t.threads, 1u);
     sum += t.io;
   }
   // The envelope performs no I/O of its own: the rows partition the total.
@@ -332,27 +307,6 @@ TEST(PassEnginePhases, MultiSelectAttributesEveryIo) {
   EXPECT_TRUE(saw_intermixed);
   EXPECT_EQ(attributed, env.dev.stats().total());
   env.ctx.set_profile(nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// LaneScratch: budget-gated, serial-fallback scratch.
-
-TEST(LaneScratchTest, GrantsWithinBudgetAndDeclinesBeyond) {
-  EmEnv env(256, 4);  // M = 1024 bytes
-  {
-    LaneScratch<std::uint32_t> a(env.ctx, 64);  // 256 bytes: fits
-    EXPECT_TRUE(a.available());
-    EXPECT_EQ(a.size(), 64u);
-    a[0] = 7u;
-    EXPECT_EQ(a.vec()[0], 7u);
-    LaneScratch<std::uint32_t> b(env.ctx, 1024);  // 4096 bytes > M: declined
-    EXPECT_FALSE(b.available());
-    EXPECT_EQ(b.size(), 0u);
-  }
-  EXPECT_EQ(env.ctx.budget().used(), 0u);  // reservations released
-  LaneScratch<std::uint32_t> c(env.ctx, 0);  // count 0: no reservation at all
-  EXPECT_FALSE(c.available());
-  EXPECT_EQ(env.ctx.budget().used(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ TEST(ShardedDeviceTest, StripePlacementIsRoundRobin) {
 }
 
 // ---------------------------------------------------------------------------
-// The determinism matrix: D x tuning x threads, for sort / multi-partition /
+// The determinism matrix: D x tuning, for sort / multi-partition /
 // multi-select, against a single MemoryBlockDevice at the same tuning.
 // ---------------------------------------------------------------------------
 
@@ -110,12 +110,9 @@ std::uint64_t fnv_records(const std::vector<Record>& v) {
 
 enum class Algo { kSort, kPartition, kSelect };
 
-AlgoResult run_algo(BlockDevice& dev, const IoTuning& tuning,
-                    std::size_t threads, Algo algo) {
+AlgoResult run_algo(BlockDevice& dev, const IoTuning& tuning, Algo algo) {
   Context ctx(dev, kMemBlocks * kBlockBytes);
   ctx.set_io_tuning(tuning);
-  ctx.set_cpu_tuning(
-      CpuTuning{threads, threads > 1 ? std::size_t{8} : std::size_t{1}});
   const auto host = workload(7);
   auto data = materialize<Record>(ctx, std::span<const Record>(host));
   dev.reset_stats();
@@ -156,34 +153,31 @@ TEST(ShardedDeterminismTest, MatrixMatchesSingleDevice) {
       {"sync", IoTuning{1, 0, false}},
       {"batched", IoTuning{8, 0, false}},
   };
-  const std::size_t thread_counts[] = {1, 4};
   const Algo algos[] = {Algo::kSort, Algo::kPartition, Algo::kSelect};
 
   for (const Algo algo : algos) {
     for (const Tuning& t : tunings) {
-      for (const std::size_t threads : thread_counts) {
-        MemoryBlockDevice base(kBlockBytes);
-        const AlgoResult want = run_algo(base, t.io, threads, algo);
-        for (const std::size_t d : {1u, 2u, 3u, 4u}) {
-          auto dev = make_sharded(d, /*stripe_blocks=*/4);
-          const AlgoResult got = run_algo(*dev, t.io, threads, algo);
-          EXPECT_EQ(got.checksum, want.checksum)
-              << "algo " << static_cast<int>(algo) << " tuning " << t.name
-              << " threads " << threads << " D " << d;
-          EXPECT_EQ(got.ios, want.ios)
-              << "algo " << static_cast<int>(algo) << " tuning " << t.name
-              << " threads " << threads << " D " << d;
+      MemoryBlockDevice base(kBlockBytes);
+      const AlgoResult want = run_algo(base, t.io, algo);
+      for (const std::size_t d : {1u, 2u, 3u, 4u}) {
+        auto dev = make_sharded(d, /*stripe_blocks=*/4);
+        const AlgoResult got = run_algo(*dev, t.io, algo);
+        EXPECT_EQ(got.checksum, want.checksum)
+            << "algo " << static_cast<int>(algo) << " tuning " << t.name
+            << " D " << d;
+        EXPECT_EQ(got.ios, want.ios)
+            << "algo " << static_cast<int>(algo) << " tuning " << t.name
+            << " D " << d;
 
-          // Per-shard counters partition the facade totals exactly.
-          const auto shards = dev->shard_stats();
-          ASSERT_EQ(shards.size(), d);
-          IoStats sum;
-          for (const IoStats& s : shards) sum += s;
-          const IoStats total = dev->stats();
-          EXPECT_EQ(sum.reads, total.reads);
-          EXPECT_EQ(sum.writes, total.writes);
-          EXPECT_EQ(sum.retries, total.retries);
-        }
+        // Per-shard counters partition the facade totals exactly.
+        const auto shards = dev->shard_stats();
+        ASSERT_EQ(shards.size(), d);
+        IoStats sum;
+        for (const IoStats& s : shards) sum += s;
+        const IoStats total = dev->stats();
+        EXPECT_EQ(sum.reads, total.reads);
+        EXPECT_EQ(sum.writes, total.writes);
+        EXPECT_EQ(sum.retries, total.retries);
       }
     }
   }

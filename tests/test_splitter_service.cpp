@@ -171,6 +171,37 @@ TEST(SplitterIndexQueries, TopKMatchesSortedTails) {
   EXPECT_THROW((void)f.idx.top_k(kRecords + 1), std::invalid_argument);
 }
 
+// A recovered epoch is checked before it is served: bounds that do not
+// tile [0, N) or maxima that decrease would make bucket sizes wrap and
+// routing lie, so adopt() refuses them.
+TEST(SplitterIndexAdopt, RejectsBoundsThatDoNotPartitionTheData) {
+  testutil::EmEnv env{kBlockBytes, kMemBlocks};
+  const auto host = make_workload(Workload::kUniform, 20, 3);
+  const EmVector<Record> data =
+      materialize<Record>(env.ctx, std::span<const Record>(host));
+  const std::vector<Record> uppers = {Record{1, 0}, Record{2, 0},
+                                      Record{3, 0}};
+  const auto adopt = [&](std::vector<std::uint64_t> bounds,
+                         std::vector<Record> ups) {
+    return SplitterIndex<Record>::adopt(
+        env.ctx,
+        EmVector<Record>::adopt(env.ctx, data.extent(), data.size(),
+                                /*owning=*/false),
+        std::move(bounds), std::move(ups));
+  };
+
+  EXPECT_EQ(adopt({0, 10, 15, 20}, uppers).buckets(), 3u);
+  EXPECT_EQ(adopt({0, 10, 10, 20}, uppers).buckets(), 3u);  // empty bucket
+  EXPECT_THROW((void)adopt({0, 10, 5, 20}, uppers), std::invalid_argument);
+  EXPECT_THROW((void)adopt({1, 10, 15, 20}, uppers), std::invalid_argument);
+  EXPECT_THROW((void)adopt({0, 10, 15, 19}, uppers), std::invalid_argument);
+  EXPECT_THROW((void)adopt({0, 10, 15, 21}, uppers), std::invalid_argument);
+  EXPECT_THROW(
+      (void)adopt({0, 10, 15, 20}, {Record{1, 0}, Record{3, 0}, Record{2, 0}}),
+      std::invalid_argument);
+  EXPECT_THROW((void)adopt({0, 20}, uppers), std::invalid_argument);
+}
+
 TEST(SplitterIndexQueries, PerQueryIoSumsToDeviceDelta) {
   IndexFixture f;
   f.env.dev.reset_stats();

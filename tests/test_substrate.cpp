@@ -49,6 +49,27 @@ TEST(MemoryBudgetTest, ReservationMoveSemantics) {
   EXPECT_EQ(budget.used(), 0u);
 }
 
+TEST(TryReserveTest, GrantsWithinCapacityAndCountsTowardPeak) {
+  MemoryBudget budget(1000);
+  auto r = budget.try_reserve(600);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->bytes(), 600u);
+  EXPECT_EQ(budget.used(), 600u);
+  EXPECT_EQ(budget.peak(), 600u);
+  r->release();
+  EXPECT_EQ(budget.used(), 0u);
+  EXPECT_EQ(budget.peak(), 600u);
+}
+
+TEST(TryReserveTest, DeclinesInsteadOfThrowingWhenFull) {
+  MemoryBudget budget(1000);
+  auto base = budget.reserve(800);
+  EXPECT_FALSE(budget.try_reserve(201).has_value());
+  EXPECT_EQ(budget.used(), 800u) << "a declined reserve must not leak";
+  auto fits = budget.try_reserve(200);
+  EXPECT_TRUE(fits.has_value());
+}
+
 TEST(MemoryBlockDeviceTest, ReadWriteRoundTrip) {
   MemoryBlockDevice dev(kBlockBytes);
   auto range = dev.allocate(4);

@@ -87,7 +87,6 @@ Machine make_machine(const Options& opt) {
   m.dev->set_checksums(opt.checksums);
   m.ctx = std::make_unique<Context>(*m.dev, opt.mem_bytes);
   m.ctx->set_io_tuning(IoTuning{opt.batch_blocks});
-  m.ctx->set_cpu_tuning(CpuTuning{opt.threads, opt.sort_shards});
   WorkerTuning wt;
   wt.workers = opt.workers;
   wt.kill_worker = opt.kill_worker;
@@ -126,8 +125,8 @@ Machine make_machine(const Options& opt) {
   if (why != nullptr) std::fprintf(stderr, "error: %s\n\n", why);
   std::fprintf(stderr,
                "usage: emsplit [--block-bytes=N] [--mem-bytes=N]"
-               " [--threads=N] [--sort-shards=N]\n"
-               "               [--workers=W] [--kill-worker=W:R]"
+               " [--workers=W]\n"
+               "               [--kill-worker=W:R]"
                " [--hang-worker=W:R] [--corrupt-frame=W:R]\n"
                "               [--max-worker-retries=N] [--worker-timeout=S]"
                " [--degrade-after=N] [--mem-workers=N]\n"
@@ -214,7 +213,7 @@ void print_cost(const Context& ctx, std::size_t n) {
               PRIu64 ")",
               io.total(), io.reads, io.writes);
   // Retries and resumed passes print only when nonzero: the default output
-  // stays byte-identical across thread counts and fault-free runs.
+  // stays byte-identical across worker counts and fault-free runs.
   if (io.retries > 0) {
     std::printf(" + %" PRIu64 " transient retries", io.retries);
   }
@@ -245,12 +244,6 @@ int parse_global_options(int argc, char** argv, Options& opt) {
       if (opt.backend != "mem" && opt.backend != "file") {
         usage("--backend takes mem|file");
       }
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      opt.threads =
-          static_cast<std::size_t>(parse_u64(arg.c_str() + 10, "threads"));
-    } else if (arg.rfind("--sort-shards=", 0) == 0) {
-      opt.sort_shards = static_cast<std::size_t>(
-          parse_u64(arg.c_str() + 14, "sort-shards"));
     } else if (arg.rfind("--workers=", 0) == 0) {
       opt.workers =
           static_cast<std::size_t>(parse_u64(arg.c_str() + 10, "workers"));

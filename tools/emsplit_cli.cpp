@@ -34,12 +34,10 @@
 // crash-consistent: kill it mid-refresh, restart, and it serves the last
 // published epoch (the CI smoke leg's assertion).
 //
-// --threads is pure execution width: for any value, the reported I/O cost
-// and the output bytes are identical (the determinism contract in
-// docs/model.md).  --sort-shards changes the in-memory sort geometry, but
-// record order is total, so outputs still match bit-for-bit.  --shards /
-// --stripe-blocks / --batch-blocks are likewise output-transparent:
-// striping and batching are geometry, never output
+// --workers is pure execution width: every W >= 1 reports the same I/O cost
+// and writes the same output bytes (the determinism contract in
+// docs/model.md).  --shards / --stripe-blocks / --batch-blocks are likewise
+// output-transparent: striping and batching are geometry, never output
 // (docs/model.md, "Sharded devices and the D-disk model").  Transient
 // retries never change the base I/O counts either — `[cost]` reports them
 // separately (docs/model.md, "Failure model, retries, and recovery").
