@@ -13,12 +13,9 @@
 // transfers" abstraction is furthest from syscall reality.  Results go to
 // stdout and to BENCH_wallclock.json for trajectory tracking.  The tunings
 // keep the merge fan-in above the run count, so both modes perform
-// identical I/O totals and the speedup is purely per-call overhead.  Sharded
-// legs (shard1/2/4) repeat the batched tuning through a ShardedBlockDevice
-// striped over D file-backed members: logical I/Os and checksums must not
-// move, and each trajectory row carries the per-pass trace (with per-shard
-// counters and balance) from its final rep.  The dsort / multi_select ops
-// run the batched leg alone.
+// identical I/O totals and the speedup is purely per-call overhead.  Each
+// trajectory row carries the per-pass trace from its final rep.  The dsort /
+// multi_select ops run the batched leg alone.
 //
 // Part 2 keeps the original google-benchmark microbenches on the 4 KiB
 // geometry.
@@ -78,10 +75,6 @@ std::size_t cmp_records() {
 struct ModeSpec {
   const char* name;
   IoTuning tuning;
-  std::size_t shards = 0;        // 0 = plain FileBlockDevice; >= 1 = the
-                                 // ShardedBlockDevice facade over D members
-                                 // (D = 1 isolates facade dispatch overhead)
-  std::size_t stripe_blocks = 8;
   std::size_t workers = 0;       // > 0 routes dsort/partition through the
                                  // multi-process distributed path (W is
                                  // geometry: every W must report identical
@@ -103,31 +96,10 @@ struct ModeResult {
   std::uint64_t peak = 0;
   std::uint64_t checksum = 0;
   bool sorted = false;
-  bool shard_sums_ok = true;     // shard_stats() partitions stats() exactly
   std::uint64_t worker_retries = 0;  // re-executed worker I/O (0 unless a
                                      // worker actually failed mid-round)
   std::string passes_json;       // JSON array of the final rep's trace rows
 };
-
-// Build the comparison device: shards = 0 is the plain file device the
-// earlier legs always used; shards >= 1 puts the ShardedBlockDevice facade
-// over D FileBlockDevice members, each its own file (the striping is
-// geometry — every logical I/O, and therefore every checksum below, must
-// be unchanged).
-std::unique_ptr<BlockDevice> make_cmp_device(const char* tag,
-                                             const ModeSpec& mode) {
-  const auto make_member = [&](const std::string& path) {
-    return std::make_unique<FileBlockDevice>(path, mode.block_bytes);
-  };
-  if (mode.shards == 0) return make_member(bench_path(tag));
-  std::vector<std::unique_ptr<BlockDevice>> members;
-  members.reserve(mode.shards);
-  for (std::size_t d = 0; d < mode.shards; ++d) {
-    members.push_back(make_member(bench_path(tag) + "." + std::to_string(d)));
-  }
-  return std::make_unique<ShardedBlockDevice>(std::move(members),
-                                              mode.stripe_blocks);
-}
 
 // Device + context + trace log for one leg.
 struct Rig {
@@ -138,7 +110,8 @@ struct Rig {
 
 Rig make_rig(const char* tag, const ModeSpec& mode) {
   Rig rig;
-  rig.dev = make_cmp_device(tag, mode);
+  rig.dev =
+      std::make_unique<FileBlockDevice>(bench_path(tag), mode.block_bytes);
   rig.ctx =
       std::make_unique<Context>(*rig.dev, mode.mem_blocks * mode.block_bytes);
   rig.ctx->set_io_tuning(mode.tuning);
@@ -168,18 +141,6 @@ std::string passes_to_json(const PassTraceLog& log) {
   }
   s += "]";
   return s;
-}
-
-// Per-shard counters must partition the facade totals exactly — the bench
-// asserts the cheap half here; test_sharded_device.cpp holds the strict
-// matrix.
-bool shard_sums_match(const BlockDevice& dev) {
-  const auto shards = dev.shard_stats();
-  if (shards.empty()) return true;
-  IoStats sum;
-  for (const IoStats& s : shards) sum += s;
-  const IoStats total = dev.stats();
-  return sum.reads == total.reads && sum.writes == total.writes;
 }
 
 // Order-sensitive FNV-1a over the output records: equal checksums across
@@ -223,7 +184,6 @@ ModeResult run_mode(const char* tag, const ModeSpec& mode,
     };
     body(*rig.ctx, data, res, capture);
     res.peak = rig.ctx->budget().peak();
-    res.shard_sums_ok = shard_sums_match(*rig.dev);
     if (rep == 0 || secs < res.seconds) res.seconds = secs;
   }
   // The trace covers the algorithm's passes only (reset precedes the timed
@@ -585,16 +545,6 @@ void run_mode_comparison() {
   const std::vector<ModeSpec> full_modes = {
       {"sync", kSync},
       {"batched", kBatched},
-      // Sharded legs: the batched tuning striped over D file-backed members,
-      // walked serially.  Striping is geometry, so logical I/O totals and
-      // checksums must equal the batched leg's exactly.  shard1 isolates the
-      // facade's dispatch overhead (one member, same code path).  Stripe =
-      // batch = 32 blocks: every aligned batch covers exactly one stripe, so
-      // sub-batch splitting adds no extra member calls and the members
-      // alternate batch by batch (balance ~ 1).
-      {"shard1", kBatched, 1, 32},
-      {"shard2", kBatched, 2, 32},
-      {"shard4", kBatched, 4, 32},
   };
   // dsort and multi_select run the batched leg alone.
   const std::vector<ModeSpec> batched_only = {
@@ -644,7 +594,7 @@ void run_mode_comparison() {
 
   bench::JsonEmitter json("wallclock");
   std::printf(
-      "# E10a: sync vs batched vs sharded vs workers, "
+      "# E10a: sync vs batched vs workers, "
       "B = %zu bytes, M = %zu blocks, N = %zu records\n",
       kCmpBlockBytes, kCmpMemBlocks, cmp_records());
   std::printf("# %-16s %-11s %10s %12s %10s %8s\n", "op", "mode", "secs",
@@ -668,14 +618,10 @@ void run_mode_comparison() {
       }
       // Every leg past the reference shares its stream geometry, so both
       // halves of the determinism contract are checkable right here: same
-      // logical I/O total, same output bytes.  Shard legs additionally
-      // require the per-shard counters to partition the facade totals.
-      const bool follows_ref =
-          name.rfind("shard", 0) == 0 || name.rfind("workers", 0) == 0;
+      // logical I/O total, same output bytes.
+      const bool follows_ref = name.rfind("workers", 0) == 0;
       const bool deterministic =
-          (!follows_ref ||
-           (r.ios == ref_ios && r.checksum == ref_checksum)) &&
-          r.shard_sums_ok;
+          !follows_ref || (r.ios == ref_ios && r.checksum == ref_checksum);
       const double speedup = r.seconds > 0 ? base_secs / r.seconds : 0.0;
       const double peak_frac = static_cast<double>(r.peak) /
                                static_cast<double>(kCmpMemBlocks * kCmpBlockBytes);
@@ -691,11 +637,6 @@ void run_mode_comparison() {
       json.field("supervised", mode.supervised);
       json.field("worker_retries", r.worker_retries);
       json.field("batch_blocks", static_cast<std::uint64_t>(mode.tuning.batch_blocks));
-      json.field("shards", static_cast<std::uint64_t>(mode.shards));
-      json.field("stripe_blocks",
-                 static_cast<std::uint64_t>(mode.shards > 0
-                                                ? mode.stripe_blocks
-                                                : std::size_t{0}));
       json.field("block_bytes", static_cast<std::uint64_t>(mode.block_bytes));
       json.field("mem_blocks", static_cast<std::uint64_t>(mode.mem_blocks));
       json.field("records", static_cast<std::uint64_t>(cmp_records()));

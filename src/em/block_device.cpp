@@ -58,9 +58,7 @@ void BlockDevice::reset_stats() noexcept {
   worker_retries_.store(0, std::memory_order_relaxed);
 }
 
-void BlockDevice::absorb_stats(const IoStats& delta,
-                               std::span<const IoStats> per_shard) noexcept {
-  (void)per_shard;  // one shard: the facade counters are the shard counters
+void BlockDevice::absorb_stats(const IoStats& delta) noexcept {
   reads_.fetch_add(delta.reads, std::memory_order_relaxed);
   writes_.fetch_add(delta.writes, std::memory_order_relaxed);
   retries_.fetch_add(delta.retries, std::memory_order_relaxed);
@@ -301,7 +299,6 @@ void BlockDevice::read_core(const char* op, BlockId first, std::uint64_t count,
     if (d.transient && attempt < fault_policy_.max_retries) {
       ++attempt;
       retries_.fetch_add(1, std::memory_order_relaxed);
-      note_retry(first + done);
       backoff_sleep(attempt);
       continue;
     }
@@ -334,7 +331,6 @@ void BlockDevice::write_core(const char* op, BlockId first,
     if (d.transient && attempt < fault_policy_.max_retries) {
       ++attempt;
       retries_.fetch_add(1, std::memory_order_relaxed);
-      note_retry(first + done);
       backoff_sleep(attempt);
       continue;
     }
@@ -447,8 +443,8 @@ void BlockDevice::restore(std::uint64_t size_blocks,
   }
 }
 
-void BlockDevice::write_sums_file(const std::string& path,
-                                  std::span<const SumEntry> entries) {
+void BlockDevice::save_sums(const std::string& path) const {
+  const std::vector<SumEntry> entries = export_sums();
   if (entries.empty()) {
     std::remove(path.c_str());
     return;
@@ -467,9 +463,9 @@ void BlockDevice::write_sums_file(const std::string& path,
   if (!ok) std::remove(path.c_str());
 }
 
-std::vector<SumEntry> BlockDevice::read_sums_file(const std::string& path) {
+void BlockDevice::load_sums(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
+  if (f == nullptr) return;
   std::uint64_t n = 0;
   std::vector<SumEntry> loaded;
   bool ok = std::fread(&n, sizeof(n), 1, f) == 1;
@@ -481,17 +477,8 @@ std::vector<SumEntry> BlockDevice::read_sums_file(const std::string& path) {
     if (ok) loaded.push_back(e);
   }
   std::fclose(f);
-  if (!ok) return {};  // torn sidecar: start unverified rather than miscarry
-  return loaded;
-}
-
-void BlockDevice::save_sums(const std::string& path) const {
-  write_sums_file(path, export_sums());
-}
-
-void BlockDevice::load_sums(const std::string& path) {
-  const std::vector<SumEntry> loaded = read_sums_file(path);
-  if (loaded.empty()) return;
+  // A torn sidecar loads nothing: start unverified rather than miscarry.
+  if (!ok || loaded.empty()) return;
   const std::lock_guard<std::mutex> lock(sum_mu_);
   sums_.clear();
   for (const SumEntry& e : loaded) {
@@ -629,7 +616,7 @@ FileBlockDevice::FileBlockDevice(std::string path, std::size_t block_bytes,
 }
 
 FileBlockDevice::~FileBlockDevice() {
-  if (keep_file_) {
+  if (keep_file_ && !sidecar_flushed_) {
     save_sums(sidecar_path());
   }
   if (fd_ >= 0) ::close(fd_);
@@ -637,6 +624,12 @@ FileBlockDevice::~FileBlockDevice() {
     ::unlink(path_.c_str());
     ::unlink(sidecar_path().c_str());
   }
+}
+
+void FileBlockDevice::flush_sidecar() {
+  if (!keep_file_) return;
+  save_sums(sidecar_path());
+  sidecar_flushed_ = true;
 }
 
 void FileBlockDevice::do_grow(std::uint64_t new_size_blocks) {

@@ -246,15 +246,14 @@ class BlockDevice {
                     std::span<const std::byte> in);
 
   /// Snapshot of the I/O counters.  Returns by value: the counters are
-  /// atomics that concurrent transfers may be bumping.  Virtual so a
-  /// composite device (ShardedBlockDevice) can report the sum of its members'
-  /// counters as the facade total.
+  /// atomics that concurrent transfers may be bumping.  Virtual so a device
+  /// that wraps another can report a different counter source.
   [[nodiscard]] virtual IoStats stats() const noexcept;
 
   /// Zero the counters.  Main-thread only, and only at quiescent points (no
   /// transfers in flight — e.g. between algorithm runs); a reset racing
   /// concurrent increments would produce torn totals.
-  virtual void reset_stats() noexcept;
+  void reset_stats() noexcept;
 
   /// True when a forked child process can keep transferring over the
   /// inherited handle while the parent's copy stays usable — the property the
@@ -282,23 +281,9 @@ class BlockDevice {
   /// Fold I/O performed on this device by a cooperating forked worker into
   /// the counters: the child's transfers moved real blocks of the shared
   /// backing store, but its counter increments died with its address space.
-  /// `delta` is the child's stats() delta; `per_shard` its shard_stats()
-  /// delta (empty for unsharded devices).  The base device adds `delta` to
-  /// its own counters; a composite device distributes `per_shard` to its
-  /// members instead, preserving the shards-partition-the-total invariant.
-  /// Main-thread only, at quiescent points.
-  virtual void absorb_stats(const IoStats& delta,
-                            std::span<const IoStats> per_shard) noexcept;
-
-  /// Number of member shards behind this device — 1 for a plain device;
-  /// ShardedBlockDevice reports its member count.
-  [[nodiscard]] virtual std::size_t shard_count() const noexcept { return 1; }
-
-  /// Per-shard counter snapshots.  Empty for an unsharded device (callers
-  /// treat "no breakdown" and "one shard" identically); a sharded device
-  /// returns one entry per member, summing exactly to stats() minus any
-  /// facade-level retries (see ShardedBlockDevice::stats()).
-  [[nodiscard]] virtual std::vector<IoStats> shard_stats() const { return {}; }
+  /// `delta` is the child's stats() delta.  Main-thread only, at quiescent
+  /// points.
+  void absorb_stats(const IoStats& delta) noexcept;
 
   /// Total blocks ever grown to (capacity high-water mark).
   [[nodiscard]] std::uint64_t size_blocks() const noexcept {
@@ -329,10 +314,8 @@ class BlockDevice {
   }
 
   /// Retry policy for transient faults.  Main-thread only, at quiescent
-  /// points (no transfers in flight), like arm_fault.  Virtual so a
-  /// composite device can forward the policy to its members (where
-  /// member-armed faults are retried).
-  virtual void set_fault_policy(const FaultPolicy& policy) noexcept {
+  /// points (no transfers in flight), like arm_fault.
+  void set_fault_policy(const FaultPolicy& policy) noexcept {
     fault_policy_ = policy;
   }
   [[nodiscard]] const FaultPolicy& fault_policy() const noexcept {
@@ -368,23 +351,21 @@ class BlockDevice {
   /// Fold checksum entries from a cooperating process into the table (last
   /// write wins, like the local write path).
   void merge_sums(std::span<const SumEntry> entries);
-  /// The full checksum table in export form — ShardedBlockDevice partitions
-  /// this by owning member to write per-member sidecars.
+  /// The full checksum table in export form (what a sidecar persists).
   [[nodiscard]] std::vector<SumEntry> export_sums() const;
 
   /// Count supervised re-execution I/O: `n` block transfers re-performed by
   /// the worker supervisor after a worker failed (em/worker_group.hpp).  The
   /// transfers themselves were already counted in reads/writes — this mirrors
-  /// note_retry's separation of recovery volume from base counts.
+  /// IoStats::retries' separation of recovery volume from base counts.
   void note_worker_retries(std::uint64_t n) noexcept {
     worker_retries_.fetch_add(n, std::memory_order_relaxed);
   }
 
   /// Test injector for corruption: flip one bit of a block's stored bytes,
   /// bypassing the I/O counters and the checksum map — exactly what a torn
-  /// write or a decayed cell does to a device.  Virtual so a composite
-  /// device can route the flip to the owning member's raw bytes.
-  virtual void corrupt_bit(BlockId block, std::size_t bit);
+  /// write or a decayed cell does to a device.
+  void corrupt_bit(BlockId block, std::size_t bit);
 
   /// Recovery hook: rebuild allocator state on a device whose *contents*
   /// survived a process death (FileBlockDevice reopened over its file).
@@ -406,12 +387,6 @@ class BlockDevice {
                                std::span<const std::byte> in);
   /// Called when the device grows to `new_size_blocks` blocks.
   virtual void do_grow(std::uint64_t new_size_blocks) = 0;
-  /// Called once per transient-fault retry with the first untransferred
-  /// block of the retried request.  A composite device overrides this to
-  /// attribute facade-level retries to the member shard that owns the block.
-  virtual void note_retry(BlockId first_failed) noexcept {
-    (void)first_failed;
-  }
 
  private:
   /// Outcome of consulting the fault injector for a `count`-I/O request.
@@ -442,18 +417,13 @@ class BlockDevice {
 
  protected:
   /// Sidecar checksum persistence (FileBlockDevice uses these to survive
-  /// clean restarts; a killed process simply loses the map, and unverified
-  /// reads are the safe degradation).
+  /// restarts; a killed process simply loses the map, and unverified reads
+  /// are the safe degradation).  The file holds a count, then (block, len,
+  /// sum) triples.  Best-effort — a write failure removes the file and a
+  /// torn file loads nothing; losing a sidecar only loses verification.  An
+  /// empty table removes the file.
   void save_sums(const std::string& path) const;
   void load_sums(const std::string& path);
-  /// The sidecar file format, shared with ShardedBlockDevice's per-member
-  /// sidecars: count, then (block, len, sum) triples.  Best-effort — a write
-  /// failure removes the file, a torn read yields an empty vector; losing a
-  /// sidecar only loses verification.  An empty entry set removes the file.
-  static void write_sums_file(const std::string& path,
-                              std::span<const SumEntry> entries);
-  [[nodiscard]] static std::vector<SumEntry> read_sums_file(
-      const std::string& path);
 
  private:
   /// Checksum of one block as last written: FNV-1a over the `len`-byte
@@ -592,6 +562,16 @@ class FileBlockDevice final : public BlockDevice {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] std::string sidecar_path() const { return path_ + ".sums"; }
 
+  /// Write the checksum sidecar *now* from the current table, then disarm
+  /// the destructor's rewrite.  Teardown that deallocates extents after this
+  /// call (a checkpoint journal returning its still-owned extents —
+  /// deallocation drops the freed blocks' entries) no longer erases the
+  /// persisted record: the sidecar keeps the pre-deallocation snapshot, which
+  /// is exactly what a resuming process needs to verify the journaled blocks
+  /// it re-reads.  No-op unless the file is kept.  Main-thread only, at a
+  /// quiescent point.
+  void flush_sidecar();
+
   /// Positional I/O on a shared fd is fork-safe; growth is idempotent
   /// (ftruncate to an absolute size), so cooperating processes compose.
   [[nodiscard]] bool fork_safe() const noexcept override { return true; }
@@ -612,6 +592,7 @@ class FileBlockDevice final : public BlockDevice {
   std::string path_;
   int fd_ = -1;
   bool keep_file_;
+  bool sidecar_flushed_ = false;
 };
 
 }  // namespace emsplit

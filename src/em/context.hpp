@@ -46,7 +46,7 @@ struct IoTuning {
 
 /// Knobs for the multi-process worker layer (em/worker_group.hpp,
 /// docs/model.md "Multi-worker partitioning and the PEM model").  Like
-/// shards and batch_blocks, `workers` is geometry, never output: the
+/// batch_blocks, `workers` is geometry, never output: the
 /// distributed passes decompose into work units whose shape depends only on
 /// (n, B, M, tuning); W merely assigns units to processes, so every W
 /// produces bit-identical bytes and identical logical IoStats totals.
@@ -114,8 +114,8 @@ struct SupervisionEvent {
   std::string detail;
 };
 
-/// One worker's contribution to a distributed pass — the per-worker analogue
-/// of a PassTrace row's per-shard deltas.  `seconds` is the worker's busy
+/// One worker's contribution to a distributed pass: its share of the pass's
+/// I/O delta, which the rows partition.  `seconds` is the worker's busy
 /// time inside the round body; `barrier_seconds` the time it waited at the
 /// closing barrier for the slowest peer (max busy − own busy).
 struct PassWorkerIo {
@@ -180,16 +180,6 @@ class Context {
 
   /// Snapshot of the underlying device's I/O statistics.
   [[nodiscard]] IoStats io() const noexcept { return device_->stats(); }
-
-  /// Member-device count behind the context's device (1 for a plain device).
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return device_->shard_count();
-  }
-
-  /// Per-shard counter snapshots (empty for an unsharded device).
-  [[nodiscard]] std::vector<IoStats> shard_stats() const {
-    return device_->shard_stats();
-  }
 
   /// Configure I/O batching.  Throws if batch_blocks is 0, if a retired
   /// field holds anything but its default, or if a reader/writer pair of

@@ -2,7 +2,6 @@
 // JSON-lines export behind `--trace=FILE`.
 #include "em/pass_engine.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace emsplit {
@@ -37,25 +36,6 @@ PassRunner::Scope::~Scope() {
   t.hwm_bytes = runner_.ctx_->take_pass_hwm();
   t.worker_io = runner_.ctx_->take_pass_workers();
   t.supervision = runner_.ctx_->take_supervision();
-  // Per-shard breakdown: the delta of each member's counters over the pass.
-  // The member count is fixed for the device's lifetime, so the two
-  // snapshots always align.
-  const std::vector<IoStats> now = runner_.ctx_->shard_stats();
-  if (!now.empty() && now.size() == start_shards_.size()) {
-    t.shard_io.reserve(now.size());
-    std::uint64_t sum = 0;
-    std::uint64_t max = 0;
-    for (std::size_t i = 0; i < now.size(); ++i) {
-      t.shard_io.push_back(now[i] - start_shards_[i]);
-      const std::uint64_t tot = t.shard_io.back().total();
-      sum += tot;
-      max = std::max(max, tot);
-    }
-    t.balance = sum == 0 ? 1.0
-                         : static_cast<double>(max) *
-                               static_cast<double>(now.size()) /
-                               static_cast<double>(sum);
-  }
   log->record(std::move(t));
 }
 
@@ -105,17 +85,7 @@ std::string pass_trace_json(const PassTrace& t) {
   append_double(s, t.seconds);
   s += ",\"resumed\":";
   s += t.resumed ? "true" : "false";
-  s += ",\"balance\":";
-  append_double(s, t.balance);
-  s += ",\"shards\":[";
-  for (std::size_t i = 0; i < t.shard_io.size(); ++i) {
-    if (i > 0) s += ',';
-    const IoStats& m = t.shard_io[i];
-    s += "{\"reads\":" + std::to_string(m.reads) +
-         ",\"writes\":" + std::to_string(m.writes) +
-         ",\"retries\":" + std::to_string(m.retries) + "}";
-  }
-  s += "],\"workers\":[";
+  s += ",\"workers\":[";
   for (std::size_t i = 0; i < t.worker_io.size(); ++i) {
     if (i > 0) s += ',';
     const PassWorkerIo& w = t.worker_io[i];

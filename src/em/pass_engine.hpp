@@ -27,8 +27,8 @@
 //                     fans out into independent items (buckets) completed in
 //                     any order, each published as it finishes.
 //
-// The engine is the single seam future observability / sharding work lands
-// on (ROADMAP.md "Open items").
+// The engine is the single seam future observability work lands on
+// (ROADMAP.md "Open items").
 #pragma once
 
 #include <chrono>
@@ -64,22 +64,12 @@ struct PassTrace {
   std::uint64_t bytes = 0;  ///< io.total() * block size
   double seconds = 0.0;   ///< wall time of the pass
   bool resumed = false;   ///< true: replayed from the journal, not re-run
-  /// Per-shard I/O deltas of the pass, index-aligned with the sharded
-  /// device's members and partitioning `io`'s member sum exactly.  Empty on
-  /// an unsharded device.
-  std::vector<IoStats> shard_io;
-  /// Shard skew of the pass: max over members of that member's I/O count,
-  /// divided by the mean over members (so 1.0 = perfectly balanced, D =
-  /// everything on one member).  0.0 on an unsharded device; 1.0 for a
-  /// sharded pass that performed no I/O.
-  double balance = 0.0;
   /// Peak data-dependent working set the pass reported through
   /// Context::note_pass_hwm (0 for passes whose footprint is static — the
   /// budget's peak() already covers those).
   std::uint64_t hwm_bytes = 0;
   /// Per-worker deltas of a distributed pass (Context::note_pass_workers),
-  /// partitioning `io` exactly the way shard_io partitions the member sum.
-  /// Empty for single-process passes.
+  /// partitioning `io` exactly.  Empty for single-process passes.
   std::vector<PassWorkerIo> worker_io;
   /// Structured supervision events of the pass (Context::note_supervision):
   /// worker retries, timeouts, corrupt frames, give-ups, degradations.
@@ -141,7 +131,6 @@ class PassRunner {
           phase_(runner.ctx_->profile(), label),
           index_(++runner.seq_),
           start_io_(runner.ctx_->io()),
-          start_shards_(runner.ctx_->shard_stats()),
           start_(std::chrono::steady_clock::now()) {
       // Stale high-water marks, worker rows or supervision events from
       // outside any pass must not leak into this pass's row.
@@ -161,7 +150,6 @@ class PassRunner {
     ScopedPhase phase_;
     std::uint64_t index_;
     IoStats start_io_;
-    std::vector<IoStats> start_shards_;
     std::chrono::steady_clock::time_point start_;
   };
 
@@ -349,8 +337,7 @@ class DistributionCheckpoint {
 };
 
 /// One PassTrace row as a single-line JSON object — the `--trace=FILE`
-/// JSON-lines row and the bench binaries' per-pass tag.  Always emits the
-/// per-shard columns (`shards` is `[]` on an unsharded run).
+/// JSON-lines row and the bench binaries' per-pass tag.
 [[nodiscard]] std::string pass_trace_json(const PassTrace& trace);
 
 /// Dump a whole log as JSON-lines, one row per line.  Returns false when the

@@ -66,7 +66,6 @@ IoStats get_stats(WireReader& r) {
 struct Frame {
   std::uint64_t status = 0;
   IoStats io;
-  std::vector<IoStats> shards;
   double busy = 0.0;
   std::uint64_t peak_bytes = 0;
   std::vector<SumEntry> sums;
@@ -79,10 +78,6 @@ std::optional<Frame> parse_body(std::span<const std::byte> body) {
     Frame f;
     f.status = r.u64();
     f.io = get_stats(r);
-    const std::uint64_t nshards = r.u64();
-    if (nshards > 4096) return std::nullopt;
-    f.shards.reserve(static_cast<std::size_t>(nshards));
-    for (std::uint64_t i = 0; i < nshards; ++i) f.shards.push_back(get_stats(r));
     f.busy = r.f64();
     f.peak_bytes = r.u64();
     f.sums = r.pod_vec<SumEntry>();
@@ -110,11 +105,9 @@ std::optional<Frame> parse_body(std::span<const std::byte> body) {
   // entries in the frame for the parent to merge.
   dev.set_sum_tracking(true);
   IoStats io0;
-  std::vector<IoStats> sh0;
   WireWriter frame;
   try {
     io0 = dev.stats();
-    sh0 = dev.shard_stats();
     // Each worker plans against (and is budgeted) M / mem_workers, so any
     // W <= mem_workers keeps the aggregate in-flight footprint <= M.  The
     // model floor M >= 2B still applies per worker.
@@ -130,11 +123,6 @@ std::optional<Frame> parse_body(std::span<const std::byte> body) {
             .count();
     frame.u64(0);
     put_stats(frame, dev.stats() - io0);
-    std::vector<IoStats> shd = dev.shard_stats();
-    frame.u64(shd.size());
-    for (std::size_t i = 0; i < shd.size(); ++i) {
-      put_stats(frame, shd[i] - sh0[i]);
-    }
     frame.f64(busy);
     frame.u64(cctx.budget().peak());
     const std::vector<SumEntry> sums = dev.take_dirty_sums();
@@ -144,11 +132,6 @@ std::optional<Frame> parse_body(std::span<const std::byte> body) {
     frame = WireWriter{};
     frame.u64(1);
     put_stats(frame, dev.stats() - io0);
-    std::vector<IoStats> shd = dev.shard_stats();
-    frame.u64(shd.size());
-    for (std::size_t i = 0; i < shd.size(); ++i) {
-      put_stats(frame, i < sh0.size() ? shd[i] - sh0[i] : shd[i]);
-    }
     frame.f64(0.0);
     frame.u64(0);
     // Writes performed before the throw recorded checksums — ship them, the
@@ -476,7 +459,7 @@ RoundOutcome WorkerGroup::round_forked(const RoundBody& body) {
   double max_busy = 0.0;
   for (std::size_t w = 0; w < workers_; ++w) {
     if (!frames[w]) continue;
-    dev.absorb_stats(frames[w]->io, frames[w]->shards);
+    dev.absorb_stats(frames[w]->io);
     if (!frames[w]->sums.empty()) dev.merge_sums(frames[w]->sums);
     out.rows[w] = PassWorkerIo{w, frames[w]->io, frames[w]->busy, 0.0,
                                frames[w]->peak_bytes};

@@ -16,13 +16,14 @@
 //    over the inherited device handle (requires BlockDevice::fork_safe();
 //    FileBlockDevice's positional pread/pwrite qualifies), never allocate or
 //    deallocate extents (the coordinator pre-allocates everything), and pipe
-//    a length-framed result blob — payload, IoStats delta, per-shard deltas,
-//    busy seconds — back to the parent, then _exit without running
-//    destructors (the shared file must survive them).  The parent drains
-//    every pipe and reaps every child: that is the barrier.  The children's
-//    counter increments died with their address spaces, so the parent folds
-//    the reported deltas back into the device via absorb_stats — logical
-//    totals are identical to a single-process run of the same schedule.
+//    a length-framed result blob — payload, IoStats delta, busy seconds,
+//    peak memory, dirty checksums — back to the parent, then _exit without
+//    running destructors (the shared file must survive them).  The parent
+//    drains every pipe and reaps every child: that is the barrier.  The
+//    children's counter increments died with their address spaces, so the
+//    parent folds the reported deltas back into the device via absorb_stats —
+//    logical totals are identical to a single-process run of the same
+//    schedule.
 //
 //  * Inline (the fallback): the same work units run sequentially in the
 //    parent, in worker order, with per-worker deltas measured around each

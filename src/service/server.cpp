@@ -15,6 +15,7 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <list>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -41,22 +42,11 @@ using Clock = std::chrono::steady_clock;
   return ec == std::errc{} && p == e;
 }
 
-[[nodiscard]] bool write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t w = ::write(fd, data.data() + off, data.size() - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
 /// Write a batch of responses with as few syscalls as possible — one
-/// writev() per up-to-64 iovecs, resuming across short writes.  The strings
-/// must stay alive for the duration of the call.
+/// sendmsg() per up-to-64 iovecs, resuming across short writes.  The strings
+/// must stay alive for the duration of the call.  MSG_NOSIGNAL: a peer that
+/// hung up (or a connection shut down by stop()) fails the write with EPIPE
+/// instead of raising SIGPIPE and killing the server.
 [[nodiscard]] bool writev_all(int fd, const std::vector<std::string>& parts) {
   std::vector<iovec> iov;
   iov.reserve(parts.size());
@@ -66,8 +56,10 @@ using Clock = std::chrono::steady_clock;
   }
   std::size_t i = 0;
   while (i < iov.size()) {
-    const int cnt = static_cast<int>(std::min<std::size_t>(iov.size() - i, 64));
-    const ssize_t w = ::writev(fd, &iov[i], cnt);
+    msghdr msg{};
+    msg.msg_iov = &iov[i];
+    msg.msg_iovlen = std::min<std::size_t>(iov.size() - i, 64);
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -690,7 +682,7 @@ void SplitterServer::serve_conn(int fd, std::uint64_t client) {
   bool close_conn = false;
   while (!close_conn && !stop_.load()) {
     // Pipelining: drain every complete line currently buffered — one read
-    // may carry many requests — and answer the batch with one writev.
+    // may carry many requests — and answer the batch with one vectored write.
     std::vector<std::string> lines;
     std::size_t pos = 0;
     for (std::size_t nl; (nl = buf.find('\n', pos)) != std::string::npos;
@@ -702,7 +694,7 @@ void SplitterServer::serve_conn(int fd, std::uint64_t client) {
     buf.erase(0, pos);
     if (lines.empty()) {
       if (buf.size() > kMaxLineBytes) {
-        (void)write_all(fd, "ERR line too long\n");
+        (void)writev_all(fd, {"ERR line too long\n"});
         break;
       }
       pollfd p{};
@@ -719,12 +711,36 @@ void SplitterServer::serve_conn(int fd, std::uint64_t client) {
     const std::vector<std::string> outs = handle_batch(lines, client, close_conn);
     if (!writev_all(fd, outs)) break;
   }
-  ::close(fd);
 }
 
 void SplitterServer::accept_loop(int lfd, bool tcp) {
-  std::vector<std::thread> conns;
+  // One entry per connection.  The loop owns each fd until it has joined
+  // the fd's thread, so a shutdown() below can never hit a descriptor
+  // number the kernel already handed to someone else.  std::list: entries
+  // hold an atomic and must not move.
+  struct Conn {
+    int fd = -1;
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Conn> conns;
+  // Join and close every finished connection; returns how many are live.
+  // Without this a long-lived server would keep every finished thread (and
+  // its stack mapping) until shutdown.
+  const auto reap = [&conns] {
+    for (auto it = conns.begin(); it != conns.end();) {
+      if (!it->done.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      ::close(it->fd);
+      it = conns.erase(it);
+    }
+    return conns.size();
+  };
   while (!stop_.load()) {
+    reap();
     pollfd p{};
     p.fd = lfd;
     p.events = POLLIN;
@@ -742,9 +758,25 @@ void SplitterServer::accept_loop(int lfd, bool tcp) {
       (void)::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     }
     const std::uint64_t id = next_client_.fetch_add(1) + 1;
-    conns.emplace_back(&SplitterServer::serve_conn, this, cfd, id);
+    Conn& c = conns.emplace_back();
+    c.fd = cfd;
+    c.thread = std::thread([this, &c, id] {
+      serve_conn(c.fd, id);
+      c.done.store(true, std::memory_order_release);
+    });
   }
-  for (std::thread& t : conns) t.join();
+  // Healthy connections notice stop_ within one poll tick and finish the
+  // reply in hand (the SHUTDOWN requester's "OK bye" among them); give them
+  // that long, then shut down whatever is still live — a peer that never
+  // reads would otherwise pin its thread in a blocked write forever.
+  for (int i = 0; i < 50 && reap() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  for (Conn& c : conns) ::shutdown(c.fd, SHUT_RDWR);
+  for (Conn& c : conns) {
+    c.thread.join();
+    ::close(c.fd);
+  }
 }
 
 void SplitterServer::serve_unix(const std::string& socket_path) {

@@ -9,7 +9,10 @@
 //     query_batch() pins ONE snapshot for the whole batch (the pipelined
 //     connection's execution primitive).
 //   * a line-protocol Unix-domain socket (serve_unix()), one serving thread
-//     per connection, the `emsplit query` client on the other end.
+//     per connection, the `emsplit query` client on the other end.  The
+//     accept loop joins each finished connection's thread on its next
+//     iteration, and on stop() shuts down every connection still live, so
+//     a peer that never reads cannot keep SHUTDOWN from completing.
 //   * the same line protocol over TCP (serve_tcp(), `--listen=host:port`) —
 //     identical parsing, admission, tracing and answers; only the transport
 //     differs.

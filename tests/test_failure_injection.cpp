@@ -4,6 +4,12 @@
 // must succeed and produce correct output.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/api.hpp"
 #include "test_helpers.hpp"
 
@@ -337,6 +343,135 @@ TEST(Checksums, FullSortIsCleanAndCostIdentical) {
   // zero extra I/Os, zero false positives, identical output.
   EXPECT_EQ(sums_io, plain_io);
   EXPECT_EQ(dump(sums_out), dump(plain_out));
+}
+
+// ---------------------------------------------------------------------------
+// Persistent checksum sidecars: a kept FileBlockDevice saves its checksum
+// table next to the file (".sums") and reloads it when reopened with
+// preserve_contents, so end-to-end verification survives a process restart
+// — including corruption that happened while the process was down.
+
+constexpr std::size_t kSidecarBlockBytes = 64;
+
+/// Flip one byte of `path` at `offset` while no device holds the file open.
+void flip_file_byte(const std::string& path, long offset) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr) << path;
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  const int c = std::fgetc(f);
+  ASSERT_NE(c, EOF);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  std::fputc(c ^ 0x40, f);
+  std::fclose(f);
+}
+
+bool file_exists(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  std::fclose(f);
+  return true;
+}
+
+/// Write `blocks` blocks, block b filled with the byte `b + fill`.
+void write_pattern(BlockDevice& dev, std::uint64_t blocks, int fill) {
+  std::vector<std::byte> buf(dev.block_bytes());
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    std::memset(buf.data(), static_cast<int>(b) + fill, buf.size());
+    dev.write(b, buf);
+  }
+}
+
+TEST(FileSidecarTest, ChecksumsPersistAcrossSessions) {
+  constexpr std::uint64_t kBlocks = 12;
+  const std::string path = testing::TempDir() + "/sidecar_sessions.bin";
+  const std::string sidecar = path + ".sums";
+  std::remove(sidecar.c_str());
+  const auto open_session = [&](bool preserve_contents) {
+    auto dev = std::make_unique<FileBlockDevice>(
+        path, kSidecarBlockBytes, /*keep_file=*/true, preserve_contents);
+    dev->set_checksums(true);
+    return dev;
+  };
+
+  // Session 1: write a patterned extent, then tear down — the destructor
+  // persists the checksum table.
+  {
+    auto dev = open_session(/*preserve_contents=*/false);
+    ASSERT_EQ(dev->allocate(kBlocks).first, 0u);
+    write_pattern(*dev, kBlocks, 1);
+  }
+  ASSERT_TRUE(file_exists(sidecar));
+
+  // Session 2: reopen and reload the sidecar — every verified read passes.
+  {
+    auto dev = open_session(/*preserve_contents=*/true);
+    ASSERT_EQ(dev->allocate(kBlocks).first, 0u);
+    std::vector<std::byte> buf(kSidecarBlockBytes);
+    for (std::uint64_t b = 0; b < kBlocks; ++b) {
+      ASSERT_NO_THROW(dev->read(b, buf)) << "block " << b;
+      EXPECT_EQ(buf.front(), std::byte{static_cast<unsigned char>(b + 1)});
+    }
+  }
+
+  // Corrupt block 4 directly in the file while no process holds it open.
+  flip_file_byte(path, 4 * kSidecarBlockBytes);
+
+  // Session 3: the persisted sums catch offline corruption on first touch.
+  {
+    auto dev = open_session(/*preserve_contents=*/true);
+    (void)dev->allocate(kBlocks);
+    std::vector<std::byte> buf(kSidecarBlockBytes);
+    EXPECT_NO_THROW(dev->read(3, buf));
+    try {
+      dev->read(4, buf);
+      FAIL() << "expected CorruptBlock from persisted sidecar sums";
+    } catch (const CorruptBlock& c) {
+      EXPECT_EQ(c.first_block(), 4u);
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(sidecar.c_str());
+}
+
+// The CLI teardown order on an interrupted run: the checkpoint journal's
+// destructor returns its still-owned extents to the device (dropping their
+// checksum entries) *before* the device destructs.  An explicit
+// flush_sidecar() snapshots the table first; the later deallocation and
+// destructor must not erase the persisted record.
+TEST(FileSidecarTest, FlushSurvivesLaterDeallocation) {
+  constexpr std::uint64_t kBlocks = 8;
+  const std::string path = testing::TempDir() + "/sidecar_flush.bin";
+  const std::string sidecar = path + ".sums";
+  std::remove(sidecar.c_str());
+  const auto open_session = [&](bool preserve_contents) {
+    auto dev = std::make_unique<FileBlockDevice>(
+        path, kSidecarBlockBytes, /*keep_file=*/true, preserve_contents);
+    dev->set_checksums(true);
+    return dev;
+  };
+
+  // Session 1: write, snapshot, then deallocate (the journal-dtor stand-in).
+  {
+    auto dev = open_session(/*preserve_contents=*/false);
+    const BlockRange range = dev->allocate(kBlocks);
+    write_pattern(*dev, kBlocks, 7);
+    dev->flush_sidecar();
+    dev->deallocate(range);  // drops every entry from the live table
+  }
+  ASSERT_TRUE(file_exists(sidecar)) << "sidecar erased after flush";
+
+  // Session 2: the snapshot is live — reads verify, corruption is caught.
+  flip_file_byte(path, 2 * kSidecarBlockBytes);
+  {
+    auto dev = open_session(/*preserve_contents=*/true);
+    (void)dev->allocate(kBlocks);
+    std::vector<std::byte> buf(kSidecarBlockBytes);
+    EXPECT_NO_THROW(dev->read(0, buf));
+    EXPECT_EQ(buf.front(), std::byte{7});
+    EXPECT_THROW(dev->read(2, buf), CorruptBlock);
+  }
+  std::remove(path.c_str());
+  std::remove(sidecar.c_str());
 }
 
 }  // namespace

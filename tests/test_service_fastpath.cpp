@@ -6,21 +6,29 @@
 // load never waits, let alone sleeps), condvar admission (a queued query
 // admits the moment budget bytes free up), the pipelined line protocol
 // (torn lines, batched lines answered in order, oversized lines rejected),
-// the TCP front end (bit-identical replies to the Unix socket), and the
-// epoch-keying invariant under concurrent refresh: a reply's cached reads
-// always come from the very epoch that answered it.
+// the TCP front end (bit-identical replies to the Unix socket), the accept
+// loop's connection lifecycle (SHUTDOWN completes past a peer that never
+// reads; finished connection threads are joined as the server runs), and
+// the epoch-keying invariant under concurrent refresh: a reply's cached
+// reads always come from the very epoch that answered it.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -310,6 +318,7 @@ struct ServiceOnSocket {
   std::string sock = temp_path("pipe.sock");
   std::string src = temp_path("pipe_src.rec");
   std::thread srv;
+  std::atomic<bool> returned{false};  // serve_unix() has come back
 
   void start(const std::vector<Record>& host, std::uint64_t cache_blocks = 0) {
     write_record_file(src, host);
@@ -319,7 +328,10 @@ struct ServiceOnSocket {
     cfg.bucket_cache_blocks = cache_blocks;
     server = std::make_unique<SplitterServer>(env.ctx, cfg);
     server->start();
-    srv = std::thread([this] { server->serve_unix(sock); });
+    srv = std::thread([this] {
+      server->serve_unix(sock);
+      returned.store(true);
+    });
     for (int i = 0; i < 500 && ::access(sock.c_str(), F_OK) != 0; ++i) {
       ::usleep(10 * 1000);
     }
@@ -410,6 +422,109 @@ TEST(PipelinedProtocol, OversizedLineIsRejectedAndConnectionClosed) {
   c2.connect_unix(svc.sock);
   c2.send_raw("EPOCH\n");
   EXPECT_EQ(c2.read_line(), "OK 1\n");
+}
+
+// ---------------------------------------------------------------------------
+// Connection lifecycle in the accept loop.
+
+/// A numeric field of /proc/self/status, e.g. "VmSize:" (kB) or "Threads:".
+std::uint64_t proc_status(const std::string& key) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(key, 0) == 0) return std::stoull(line.substr(key.size()));
+  }
+  return 0;
+}
+
+TEST(ServerShutdown, CompletesWhileAConnectionIsStuckWriting) {
+  const auto host = make_workload(Workload::kUniform, kRecords, 60);
+  const auto sorted_ref = sorted_copy(host);
+  // A server that never unblocks the stuck writer itself gets EPIPE once
+  // this test closes the hog; keep SIGPIPE from ending the process there.
+  // Declared first, so it outlives every socket below.
+  struct IgnoreSigpipe {
+    void (*old)(int) = std::signal(SIGPIPE, SIG_IGN);
+    ~IgnoreSigpipe() { std::signal(SIGPIPE, old); }
+  } ignore_sigpipe;
+  ServiceOnSocket svc;
+  svc.start(host);
+
+  // The hog pipelines ~200k queries and never reads a reply: the server
+  // fills the hog's receive buffer, blocks in its reply write and stops
+  // reading, and then the hog's own send buffer fills too.
+  SocketClient hog;
+  hog.connect_unix(svc.sock);
+  ASSERT_EQ(::fcntl(hog.fd, F_SETFL, ::fcntl(hog.fd, F_GETFL) | O_NONBLOCK), 0);
+  const std::string line =
+      "RANK " + std::to_string(sorted_ref[kRecords / 2].key) + "\n";
+  std::string flood;
+  for (int i = 0; i < 200000; ++i) flood += line;
+  std::size_t off = 0;
+  while (off < flood.size()) {
+    const ssize_t w = ::send(hog.fd, flood.data() + off, flood.size() - off,
+                             MSG_NOSIGNAL);
+    if (w > 0) {
+      off += static_cast<std::size_t>(w);
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+    pollfd p{hog.fd, POLLOUT, 0};
+    if (::poll(&p, 1, 200) == 0) break;  // no progress: the server is stuck
+  }
+  ASSERT_LT(off, flood.size()) << "the server drained the whole flood";
+
+  SocketClient ctl;
+  ctl.connect_unix(svc.sock);
+  ctl.send_raw("SHUTDOWN\n");
+  EXPECT_EQ(ctl.read_line(), "OK bye\n");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (!svc.returned.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool in_time = svc.returned.load();
+  // Past the deadline, unblock the stuck writer ourselves so the test fails
+  // instead of hanging in the server's join.
+  std::fclose(hog.io);
+  hog.io = nullptr;
+  if (svc.srv.joinable()) svc.srv.join();
+  EXPECT_TRUE(in_time) << "serve_unix() did not return within 1 s of SHUTDOWN";
+}
+
+TEST(ServerConnections, FinishedConnectionThreadsAreJoined) {
+  const auto host = make_workload(Workload::kUniform, kRecords, 61);
+  ServiceOnSocket svc;
+  svc.start(host);
+  const std::uint64_t idle_threads = proc_status("Threads:");
+  ASSERT_GT(idle_threads, 0u);
+  const auto cycle = [&] {
+    {
+      SocketClient c;
+      c.connect_unix(svc.sock);
+      c.send_raw("EPOCH\n");
+      EXPECT_EQ(c.read_line(), "OK 1\n");
+    }
+    // Let the connection's thread exit before the next connect, so at most
+    // one serving thread is ever alive: each new thread then reuses the
+    // malloc arena the previous one released, and VmSize moves only if
+    // finished threads keep their stacks.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (proc_status("Threads:") > idle_threads &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  };
+  // Warm up the allocator and thread-stack caches before the baseline.
+  for (int i = 0; i < 100; ++i) cycle();
+  const std::uint64_t before = proc_status("VmSize:");
+  ASSERT_GT(before, 0u);
+  for (int i = 0; i < 2000; ++i) cycle();
+  const std::uint64_t after = proc_status("VmSize:");
+  // Unjoined threads would keep ~8 MB of stack mapping each: ~16 GB here.
+  EXPECT_LT(after, before + 64 * 1024)
+      << "VmSize grew from " << before << " kB to " << after << " kB";
 }
 
 // ---------------------------------------------------------------------------

@@ -82,8 +82,7 @@ std::vector<Record> dump(const EmVector<Record>& v) {
 }
 
 /// Every distributed pass row carries exactly W worker rows whose reads,
-/// writes and retries sum to the row's own delta -- the per-worker analogue
-/// of the sharded-device partition check.
+/// writes and retries sum to the row's own delta.
 void check_worker_rows(const PassTraceLog& trace, std::size_t W,
                        const std::string& tag) {
   std::size_t dist_rows = 0;

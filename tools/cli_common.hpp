@@ -37,8 +37,6 @@ struct Options {
   double worker_timeout = 0.0;
   std::uint64_t degrade_after = 0;
   std::size_t mem_workers = 1;
-  std::size_t shards = 1;
-  std::size_t stripe_blocks = 8;
   std::size_t batch_blocks = 1;
   std::string trace_path;
   std::uint64_t fault_retries = 0;
@@ -55,6 +53,9 @@ struct Options {
 /// then, and the context is still alive during the destructor body).
 struct Machine {
   std::unique_ptr<BlockDevice> dev;
+  /// `dev` when it is file-backed (its checksum sidecar needs flushing
+  /// before the journal dies), else null.
+  FileBlockDevice* file_dev = nullptr;
   std::unique_ptr<CheckpointJournal> journal;
   std::unique_ptr<Context> ctx;
   std::unique_ptr<PassTraceLog> trace;

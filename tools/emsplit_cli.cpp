@@ -36,9 +36,8 @@
 //
 // --workers is pure execution width: every W >= 1 reports the same I/O cost
 // and writes the same output bytes (the determinism contract in
-// docs/model.md).  --shards / --stripe-blocks / --batch-blocks are likewise
-// output-transparent: striping and batching are geometry, never output
-// (docs/model.md, "Sharded devices and the D-disk model").  Transient
+// docs/model.md).  --batch-blocks is likewise output-transparent: batching
+// is geometry, never output (docs/model.md, "I/O batching").  Transient
 // retries never change the base I/O counts either — `[cost]` reports them
 // separately (docs/model.md, "Failure model, retries, and recovery").
 #include <arpa/inet.h>
