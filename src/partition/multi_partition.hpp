@@ -39,6 +39,7 @@
 #include "em/pass_engine.hpp"
 #include "em/em_vector.hpp"
 #include "em/stream.hpp"
+#include "select/bucket_locator.hpp"
 #include "select/linear_splitters.hpp"
 
 namespace emsplit {
@@ -219,25 +220,31 @@ std::vector<PendingBucket<T>> distribute_piece(
   // exact, and boundaries that are not requested ranks merely refine the
   // partitioning (the output is still ordered and contiguous per request).
   // Exactness of the *requested* ranks is realized deeper in the recursion,
-  // ultimately by the in-memory sorted leaves.
+  // ultimately by the in-memory sorted leaves.  The counting scan looks each
+  // record's bucket up in a BucketLocator (select/bucket_locator.hpp): the
+  // splitters permuted in place into Eytzinger order, descended kLanes
+  // records at a time — the lower_bound answer, without its cache misses.
   std::vector<std::uint64_t> cut_ranks;
   std::vector<T> cut_elems;
   {
     ScopedPhase phase(ctx.profile(), "mpart/cut-selection");
     auto ls = linear_splitters<T, Less>(ctx, src, first, last, less);
-    const auto& sp = ls.splitters;
-    auto sp_res = ctx.budget().reserve(sp.size() * sizeof(T));
-    std::vector<std::uint64_t> cum(sp.size(), 0);  // cum[j] = #{e <= s_j}
+    const std::size_t num_sp = ls.splitters.size();
+    auto sp_res = ctx.budget().reserve(num_sp * sizeof(T));
+    std::vector<std::uint64_t> cum(num_sp, 0);  // cum[j] = #{e <= s_j}
     auto cum_res = ctx.budget().reserve(cum.size() * sizeof(std::uint64_t));
+    // The counters lend the table its permutation bitmap before they count
+    // (see multi_select_base): no reservation beyond the binary search's.
+    const BucketLocator<T, Less> table(std::move(ls.splitters), less, cum);
+    std::fill(cum.begin(), cum.end(), 0);
     {
       StreamReader<T> reader(src, first, last);
       while (!reader.done()) {
-        const T e = reader.next();
-        const auto it = std::lower_bound(
-            sp.begin(), sp.end(), e,
-            [&](const T& x, const T& y) { return less(x, y); });
-        const auto j = static_cast<std::size_t>(it - sp.begin());
-        if (j < cum.size()) ++cum[j];
+        const std::span<const T> span = reader.peek_span();
+        table.locate_each(span, [&](const T&, std::size_t j) {
+          if (j < num_sp) ++cum[j];
+        });
+        reader.consume(span.size());
       }
     }
     for (std::size_t j = 1; j < cum.size(); ++j) cum[j] += cum[j - 1];
@@ -290,7 +297,7 @@ std::vector<PendingBucket<T>> distribute_piece(
     }
     for (const std::size_t j : picked) {
       cut_ranks.push_back(cum[j]);
-      cut_elems.push_back(sp[j]);
+      cut_elems.push_back(table.at_rank(j));
     }
   }
 

@@ -6,13 +6,19 @@
 //
 //   1. linear_splitters() produces a memory-resident splitter set whose
 //      buckets are small (our substitute for the Hu et al. [6] subroutine —
-//      see DESIGN.md §4).
-//   2. One counting scan obtains every bucket's size; prefix sums locate the
-//      bucket j(i) containing each target rank r_i and its local rank
+//      see DESIGN.md §4).  The sorted splitters are permuted in place into
+//      a BucketLocator (select/bucket_locator.hpp): the same bytes in
+//      Eytzinger order, answering the same lower_bound question.
+//   2. One counting scan obtains every bucket's size, locating the records
+//      with interleaved table descents; prefix sums locate the bucket j(i)
+//      containing each target rank r_i and its local rank
 //      t_i = r_i - prefix[j(i)-1].
 //   3. One more scan builds the intermixed instance: every element of a
 //      bucket that contains at least one queried rank is emitted once per
-//      querying rank, tagged with that query's group id.
+//      querying rank, tagged with that query's group id.  This scan looks
+//      records up in a second table over just the queried buckets'
+//      boundaries (at most 2K splitters, cache-resident), whose slots map
+//      to a precomputed run of querying groups or to none.
 //   4. intermixed_select() solves all K rank queries concurrently.
 //
 // |D| = sum of the queried buckets' sizes <= K * bucket_bound; with
@@ -27,6 +33,7 @@
 #include <cassert>
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -34,6 +41,7 @@
 #include "em/pass_engine.hpp"
 #include "em/em_vector.hpp"
 #include "em/stream.hpp"
+#include "select/bucket_locator.hpp"
 #include "select/intermixed.hpp"
 #include "select/linear_splitters.hpp"
 
@@ -69,26 +77,31 @@ std::vector<T> multi_select_base(Context& ctx, const EmVector<T>& vec,
   {
     // Step 1: splitters (memory-resident; <= M/4 records).
     auto split = linear_splitters<T, Less>(ctx, vec, first, last, less);
-    const auto& sp = split.splitters;
-    const std::size_t num_buckets = sp.size() + 1;
-    auto sp_res = ctx.budget().reserve(sp.size() * sizeof(T));
-
-    // An element e belongs to bucket j = index of the first splitter >= e
-    // (buckets are (s_{j-1}, s_j], left-closed at -inf, right-open at +inf).
-    auto bucket_of = [&](const T& e) -> std::size_t {
-      const auto it =
-          std::lower_bound(sp.begin(), sp.end(), e,
-                           [&](const T& s, const T& x) { return less(s, x); });
-      return static_cast<std::size_t>(it - sp.begin());
-    };
+    const std::size_t num_sp = split.splitters.size();
+    const std::size_t num_buckets = num_sp + 1;
+    auto sp_res = ctx.budget().reserve(num_sp * sizeof(T));
 
     // Step 2: bucket sizes -> prefix sums (num_buckets <= M/4 + 1 counters).
     std::vector<std::uint64_t> prefix(num_buckets + 1, 0);
     auto cnt_res =
         ctx.budget().reserve((num_buckets + 1) * sizeof(std::uint64_t));
+    // An element e belongs to bucket j = index of the first splitter >= e
+    // (buckets are (s_{j-1}, s_j], left-closed at -inf, right-open at +inf):
+    // exactly the table's locate().  The counters lend the table its
+    // permutation bitmap (one bit per splitter) before they count, so the
+    // table takes no reservation of its own: an extra reserve() would also
+    // make a service's bucket cache give back entries on every rebuild.
+    const BucketLocator<T, Less> table(std::move(split.splitters), less,
+                                       prefix);
+    std::fill(prefix.begin(), prefix.end(), 0);
     runner.run("msel/count-buckets", [&] {
       StreamReader<T> reader(vec, first, last);
-      while (!reader.done()) ++prefix[bucket_of(reader.next()) + 1];
+      while (!reader.done()) {
+        const std::span<const T> span = reader.peek_span();
+        table.locate_each(span,
+                          [&](const T&, std::size_t j) { ++prefix[j + 1]; });
+        reader.consume(span.size());
+      }
     });
     for (std::size_t j = 1; j <= num_buckets; ++j) prefix[j] += prefix[j - 1];
 
@@ -103,22 +116,53 @@ std::vector<T> multi_select_base(Context& ctx, const EmVector<T>& vec,
       local_ranks[i] = ranks[i] - prefix[j];
     }
 
-    // Step 3: build the intermixed instance.  Per bucket, the querying
-    // groups form a contiguous run of the sorted rank list.
+    // Only the queried buckets matter to step 3.  Their boundary splitters
+    // (at most 2k, held as pointers into `table`) form a second, tiny table
+    // whose slots are either exactly one queried bucket or a run of
+    // unqueried ones: slot t < size covers (bounds[t-1], bounds[t]], the
+    // last slot everything above bounds.back().  A queried bucket J has
+    // both J-1 and J among the bounds, so its slot holds bucket J alone.
+    std::vector<std::size_t> bounds;
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t jb = rank_bucket[i];
+      if (i > 0 && jb == rank_bucket[i - 1]) continue;
+      if (jb > 0 && (bounds.empty() || bounds.back() != jb - 1)) {
+        bounds.push_back(jb - 1);
+      }
+      if (jb < num_sp) bounds.push_back(jb);
+    }
+    // Per slot, the groups querying its bucket: a contiguous run of the
+    // sorted rank list (empty for a slot no rank falls in).
+    std::vector<std::size_t> run_lo(bounds.size() + 1);
+    std::vector<std::size_t> run_hi(bounds.size() + 1);
+    std::vector<const T*> bound_elems(bounds.size());
+    for (std::size_t t = 0; t <= bounds.size(); ++t) {
+      const std::size_t jb = t < bounds.size() ? bounds[t] : num_sp;
+      const auto [lo, hi] =
+          std::equal_range(rank_bucket.begin(), rank_bucket.end(), jb);
+      run_lo[t] = static_cast<std::size_t>(lo - rank_bucket.begin());
+      run_hi[t] = static_cast<std::size_t>(hi - rank_bucket.begin());
+      if (t < bounds.size()) bound_elems[t] = &table.at_rank(jb);
+    }
+    auto deref_less = [&less](const T* s, const T& x) { return less(*s, x); };
+    // The prefix sums are spent; their words are the bitmap this time.
+    const BucketLocator<const T*, decltype(deref_less)> queried(
+        std::move(bound_elems), deref_less, prefix);
+
+    // Step 3: build the intermixed instance.  Every element of a queried
+    // bucket is emitted once per querying group, in stream order.
     runner.run("msel/build-instance", [&] {
       d = EmVector<Grouped<T>>(ctx, static_cast<std::size_t>(d_size));
       StreamReader<T> scan(vec, first, last);
       StreamWriter<Grouped<T>> writer(d);
       while (!scan.done()) {
-        const T e = scan.next();
-        const std::size_t jb = bucket_of(e);
-        // Groups querying bucket jb: binary search the contiguous run.
-        auto lo = std::lower_bound(rank_bucket.begin(), rank_bucket.end(), jb);
-        auto hi = std::upper_bound(lo, rank_bucket.end(), jb);
-        for (auto it = lo; it != hi; ++it) {
-          const auto g = static_cast<std::uint64_t>(it - rank_bucket.begin());
-          writer.push(Grouped<T>{e, g});
-        }
+        const std::span<const T> span = scan.peek_span();
+        queried.locate_each(span, [&](const T& e, std::size_t t) {
+          for (std::size_t g = run_lo[t]; g < run_hi[t]; ++g) {
+            writer.push(Grouped<T>{e, static_cast<std::uint64_t>(g)});
+          }
+        });
+        scan.consume(span.size());
       }
       writer.finish();
     });

@@ -47,6 +47,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -378,11 +380,24 @@ int cmd_query(const Options&, int argc, char** argv) {
     std::fprintf(stderr, "error: cannot connect to %s\n", target.c_str());
     return 1;
   }
-  std::FILE* f = ::fdopen(fd, "r+");
+  // Replies are read through a stdio stream; requests go out with send(),
+  // so reading ahead never interferes with writing.
+  std::FILE* f = ::fdopen(fd, "r");
   if (f == nullptr) {
     ::close(fd);
     return 1;
   }
+  const auto send_all = [fd](const std::string& bytes) {
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t w = ::send(fd, bytes.data() + off, bytes.size() - off,
+                               MSG_NOSIGNAL);
+      if (w < 0 && errno == EINTR) continue;
+      if (w <= 0) return false;
+      off += static_cast<std::size_t>(w);
+    }
+    return true;
+  };
 
   // Reply grammar: one status line; HIST / TOPK stream more until END.
   // Returns 0 = OK, 3 = SHED (structured admission reject), 1 = error.
@@ -407,28 +422,49 @@ int cmd_query(const Options&, int argc, char** argv) {
 
   const bool print_replies = repeat == 1;
   std::uint64_t ok = 0, shed = 0, err = 0;
+  const auto tally = [&](int rc) {
+    switch (rc) {
+      case 0: ++ok; break;
+      case 3: ++shed; break;
+      default: ++err; break;
+    }
+  };
   const auto t0 = std::chrono::steady_clock::now();
   if (pipeline) {
-    // Pipelined mode: every request on the wire before any reply is read —
-    // the server parses them as one batch and answers in request order.
-    for (std::uint64_t i = 0; i < repeat; ++i) std::fputs(line.c_str(), f);
-    std::fflush(f);
-    for (std::uint64_t i = 0; i < repeat; ++i) {
-      switch (read_reply(print_replies)) {
-        case 0: ++ok; break;
-        case 3: ++shed; break;
-        default: ++err; break;
+    // Pipelined mode: requests go out in batches with at most kWindow of
+    // them awaiting replies; the server parses each batch at once and
+    // answers in request order.  Whenever the window is full the client
+    // reads replies until half of it is free, so it never blocks writing
+    // while unread replies pile up: a client that writes every request
+    // before reading any reply deadlocks both sides once their socket
+    // buffers fill.
+    constexpr std::uint64_t kWindow = 256;
+    std::uint64_t sent = 0;
+    std::uint64_t answered = 0;
+    std::string batch;
+    while (answered < repeat) {
+      const std::uint64_t more =
+          std::min(repeat - sent, kWindow - (sent - answered));
+      batch.clear();
+      for (std::uint64_t i = 0; i < more; ++i) batch += line;
+      if (!send_all(batch)) {
+        err += repeat - answered;  // connection lost: the rest never answer
+        break;
+      }
+      sent += more;
+      const std::uint64_t keep = sent == repeat ? 0 : kWindow / 2;
+      while (sent - answered > keep) {
+        tally(read_reply(print_replies));
+        ++answered;
       }
     }
   } else {
     for (std::uint64_t i = 0; i < repeat; ++i) {
-      std::fputs(line.c_str(), f);
-      std::fflush(f);
-      switch (read_reply(print_replies)) {
-        case 0: ++ok; break;
-        case 3: ++shed; break;
-        default: ++err; break;
+      if (!send_all(line)) {
+        err += repeat - i;
+        break;
       }
+      tally(read_reply(print_replies));
     }
   }
   const double seconds =

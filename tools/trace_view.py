@@ -32,10 +32,12 @@ FILE defaults to stdin, so both work:
     emsplit sort -n 1M --trace=trace.jsonl && tools/trace_view.py trace.jsonl
     emsplit sort -n 1M --trace=/dev/stdout | tools/trace_view.py
 
-Exit status: 0 = rendered, 2 = bad input.
+Exit status: 0 = rendered (also when the reader closes the pipe early, as
+`| head` does), 2 = bad input.
 """
 
 import json
+import os
 import sys
 
 
@@ -184,6 +186,22 @@ def render(rows, width, out=sys.stdout):
     print(tail, file=out)
 
 
+def show(rows, width):
+    if not rows:
+        print("trace_view: no trace rows")
+        return
+    passes = [r for r in rows if "query" not in r]
+    queries = [r for r in rows if "query" in r]
+    if passes:
+        render(passes, width)
+    if queries:
+        if passes:
+            print()
+        render_queries(queries)
+        print()
+        render_epochs(queries)
+
+
 def main(argv):
     path = None
     width = 40
@@ -210,19 +228,15 @@ def main(argv):
               file=sys.stderr)
         return 2
 
-    if not rows:
-        print("trace_view: no trace rows")
-        return 0
-    passes = [r for r in rows if "query" not in r]
-    queries = [r for r in rows if "query" in r]
-    if passes:
-        render(passes, width)
-    if queries:
-        if passes:
-            print()
-        render_queries(queries)
-        print()
-        render_epochs(queries)
+    try:
+        show(rows, width)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`trace_view.py t.jsonl | head`): end
+        # quietly.  Point stdout at /dev/null so the interpreter's final
+        # flush of the dead pipe raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return 0
 
 
