@@ -1,11 +1,11 @@
 // bench_util.hpp — shared infrastructure for the experiment binaries.
 //
-// Every experiment binary (E1..E11, see DESIGN.md §3) measures *exact* I/O
-// counts on a MemoryBlockDevice and prints one table: the sweep parameters,
-// the measured I/Os, the value of the paper's bound formula, their ratio
-// (shape validation: the ratio must stay within a constant band across the
-// sweep), and reference costs (full scan, full sort).  EXPERIMENTS.md
-// records these tables against the paper's claims.
+// Every experiment binary (E1-E9 and E11-E17, see DESIGN.md §3) measures
+// *exact* I/O counts on a MemoryBlockDevice and prints one table: the sweep
+// parameters, the measured I/Os, the value of the paper's bound formula,
+// their ratio (shape validation: the ratio must stay within a constant band
+// across the sweep), and reference costs (full scan, full sort).
+// EXPERIMENTS.md records these tables against the paper's claims.
 #pragma once
 
 #include <cmath>
@@ -18,123 +18,6 @@
 #include "core/api.hpp"
 
 namespace emsplit::bench {
-
-// ---------------------------------------------------------------------------
-// Machine-readable artifacts.  Benches that feed the perf trajectory emit a
-// flat JSON file — {"bench": "...", "rows": [{...}, ...]} — numbers, bools
-// and strings only, so downstream tooling needs no real JSON parser quirks.
-// ---------------------------------------------------------------------------
-
-class JsonEmitter {
- public:
-  explicit JsonEmitter(std::string bench_name)
-      : out_("{\"bench\": \"" + std::move(bench_name) + "\", \"rows\": [") {}
-
-  void begin_row() {
-    if (!first_row_) out_ += ", ";
-    first_row_ = false;
-    first_field_ = true;
-    out_ += "{";
-  }
-  void field(const char* key, const std::string& v) {
-    raw_field(key);
-    out_ += '"';
-    out_ += v;
-    out_ += '"';
-  }
-  void field(const char* key, double v) {
-    char num[64];
-    std::snprintf(num, sizeof num, "%.6g", v);
-    raw_field(key);
-    out_ += num;
-  }
-  void field(const char* key, std::uint64_t v) {
-    raw_field(key);
-    out_ += std::to_string(v);
-  }
-  void field(const char* key, bool v) {
-    raw_field(key);
-    out_ += v ? "true" : "false";
-  }
-  /// Splice pre-serialized JSON (an array or object) in as the field value.
-  /// The caller owns validity; used for nested structures like per-pass
-  /// trace rows, which the flat field() overloads cannot express.
-  void field_json(const char* key, const std::string& raw) {
-    raw_field(key);
-    out_ += raw;
-  }
-  void end_row() { out_ += "}"; }
-
-  /// Write the document to `path`; returns false on I/O failure.
-  [[nodiscard]] bool write(const std::string& path) const {
-    return write_doc(path, out_ + "]}\n");
-  }
-
-  /// Append the document as one `label`-tagged entry of a top-level JSON
-  /// array at `path`, preserving every earlier entry — the trajectory file
-  /// accumulates one entry per PR / bench invocation instead of being
-  /// overwritten.  A legacy single-object file (the pre-append format)
-  /// becomes the array's first entry; a missing file a fresh one-entry
-  /// array.  Returns false on I/O failure.
-  [[nodiscard]] bool append_entry(const std::string& path,
-                                  const std::string& label) const {
-    std::string entry = "{\"label\": \"";
-    entry += label;
-    entry += "\", ";
-    entry += out_.c_str() + 1;  // drop the leading '{' of the document
-    entry += "]}";
-    std::string doc;
-    std::string prev = slurp(path);
-    while (!prev.empty() &&
-           (prev.back() == '\n' || prev.back() == ' ')) {
-      prev.pop_back();
-    }
-    if (!prev.empty() && prev.front() == '[' && prev.back() == ']') {
-      doc = prev.substr(0, prev.size() - 1);
-      if (doc.find('{') != std::string::npos) doc += ", ";
-      doc += entry;
-      doc += "]\n";
-    } else if (!prev.empty() && prev.front() == '{' && prev.back() == '}') {
-      doc = "[" + prev + ", " + entry + "]\n";
-    } else {
-      doc = "[" + entry + "]\n";
-    }
-    return write_doc(path, doc);
-  }
-
- private:
-  static bool write_doc(const std::string& path, const std::string& doc) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-    return std::fclose(f) == 0 && ok;
-  }
-
-  static std::string slurp(const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) return {};
-    std::string s;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) s.append(buf, got);
-    std::fclose(f);
-    return s;
-  }
-
-  // Appends, not operator+ chains: sequential += sidesteps a GCC 12
-  // -Werror=restrict false positive in inlined basic_string concatenation.
-  void raw_field(const char* key) {
-    if (!first_field_) out_ += ", ";
-    first_field_ = false;
-    out_ += '"';
-    out_ += key;
-    out_ += "\": ";
-  }
-
-  std::string out_;
-  bool first_row_ = true;
-  bool first_field_ = true;
-};
 
 /// Machine geometry for one experiment.
 struct Geometry {

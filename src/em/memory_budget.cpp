@@ -11,55 +11,31 @@ MemoryReservation MemoryBudget::reserve(std::size_t bytes) {
 
 std::optional<MemoryReservation> MemoryBudget::try_reserve(std::size_t bytes,
                                                            bool allow_reclaim) {
-  // Up to two rounds: a plain attempt, then one more after the reclaimers
-  // have been asked to shed the shortfall.
-  for (int round = 0; round < 2; ++round) {
-    std::vector<Reclaimer> reclaimers;
-    std::size_t shortfall = 0;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (commit_locked(bytes)) {
-        return MemoryReservation(*this, bytes, MemoryReservation::Adopt{});
-      }
-      if (!allow_reclaim || reclaimers_.empty() || round > 0) {
-        return std::nullopt;
-      }
-      reclaimers.reserve(reclaimers_.size());
-      for (const auto& [id, r] : reclaimers_) reclaimers.push_back(r);
-      shortfall = bytes - (capacity_ - used_);
-    }
-    std::size_t got = 0;
-    for (const Reclaimer& r : reclaimers) {
-      got += r(shortfall - std::min(shortfall, got));
-      if (got >= shortfall) break;
-    }
-    if (got == 0) return std::nullopt;
-  }
-  return std::nullopt;
+  if (!commit_or_reclaim(bytes, allow_reclaim)) return std::nullopt;
+  return MemoryReservation(*this, bytes, MemoryReservation::Adopt{});
 }
 
 void MemoryBudget::acquire(std::size_t bytes) {
-  for (int round = 0; round < 2; ++round) {
-    std::vector<Reclaimer> reclaimers;
-    std::size_t shortfall = 0;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (commit_locked(bytes)) return;
-      if (reclaimers_.empty() || round > 0) {
-        throw BudgetExceeded(over_budget_message(bytes));
-      }
-      reclaimers.reserve(reclaimers_.size());
-      for (const auto& [id, r] : reclaimers_) reclaimers.push_back(r);
-      shortfall = bytes - (capacity_ - used_);
-    }
-    std::size_t got = 0;
-    for (const Reclaimer& r : reclaimers) {
-      got += r(shortfall - std::min(shortfall, got));
-      if (got >= shortfall) break;
-    }
-  }
+  if (commit_or_reclaim(bytes, /*allow_reclaim=*/true)) return;
   const std::lock_guard<std::mutex> lock(mu_);
   throw BudgetExceeded(over_budget_message(bytes));
+}
+
+bool MemoryBudget::commit_or_reclaim(std::size_t bytes, bool allow_reclaim) {
+  Reclaimer reclaimer;
+  std::size_t shortfall = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (commit_locked(bytes)) return true;
+    if (!allow_reclaim || !reclaimer_) return false;
+    reclaimer = reclaimer_;
+    shortfall = bytes - (capacity_ - used_);
+  }
+  // Outside the lock: the reclaimer release()s what it gives back.  Check
+  // again even if it gave nothing; another thread may have released.
+  (void)reclaimer(shortfall);
+  const std::lock_guard<std::mutex> lock(mu_);
+  return commit_locked(bytes);
 }
 
 bool MemoryBudget::commit_locked(std::size_t bytes) noexcept {

@@ -16,9 +16,9 @@
 // charge their admission and bucket-cache bytes while the main thread
 // reserves algorithm state.  A *reclaimer* callback lets a scavenging
 // consumer (the service's bucket-scan cache) hold otherwise-idle budget:
-// when a reservation finds the budget short, the registered reclaimers are
-// asked — outside the budget lock, in registration order — to give bytes
-// back before the reservation is refused.
+// when a reservation finds the budget short, the reclaimer is asked —
+// outside the budget lock — to give bytes back before the reservation is
+// refused.
 //
 // A *release listener* is the inverse hook: a single callback invoked after
 // every release() that frees bytes, outside the budget lock.  The splitter
@@ -37,7 +37,6 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace emsplit {
 
@@ -83,24 +82,12 @@ class MemoryBudget {
     return capacity_ - used_;
   }
 
-  /// Register a scavenger that is asked to release budget when a reservation
-  /// falls short; returns a token for remove_reclaimer().  Reclaimers are
-  /// consulted in registration order until the shortfall is covered.
-  /// Register/remove at quiescent points (cache attach/detach).
-  [[nodiscard]] std::uint64_t add_reclaimer(Reclaimer reclaimer) {
+  /// Register (or clear, with nullptr) the scavenger that is asked to
+  /// release budget when a reservation falls short.  One reclaimer, like the
+  /// release listener below; set and clear it at quiescent points.
+  void set_reclaimer(Reclaimer reclaimer) {
     const std::lock_guard<std::mutex> lock(mu_);
-    const std::uint64_t id = ++next_reclaimer_id_;
-    reclaimers_.emplace_back(id, std::move(reclaimer));
-    return id;
-  }
-  void remove_reclaimer(std::uint64_t id) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = reclaimers_.begin(); it != reclaimers_.end(); ++it) {
-      if (it->first == id) {
-        reclaimers_.erase(it);
-        return;
-      }
-    }
+    reclaimer_ = std::move(reclaimer);
   }
 
   /// Register (or clear, with nullptr) the callback invoked after every
@@ -135,6 +122,9 @@ class MemoryBudget {
 
   void acquire(std::size_t bytes);
   void release(std::size_t bytes) noexcept;
+  /// Commit `bytes`; on a shortfall (and with `allow_reclaim`) ask the
+  /// reclaimer for it once and try again.  False if they still do not fit.
+  [[nodiscard]] bool commit_or_reclaim(std::size_t bytes, bool allow_reclaim);
   /// Commit `bytes` if they fit right now (caller holds `mu_`).
   bool commit_locked(std::size_t bytes) noexcept;
   [[nodiscard]] std::string over_budget_message(std::size_t bytes) const;
@@ -145,8 +135,7 @@ class MemoryBudget {
   // Live reservation sizes (size -> count), reported by BudgetExceeded to
   // make over-budget bugs self-diagnosing.
   std::map<std::size_t, std::size_t> live_;
-  std::vector<std::pair<std::uint64_t, Reclaimer>> reclaimers_;
-  std::uint64_t next_reclaimer_id_ = 0;
+  Reclaimer reclaimer_;
   std::function<void()> release_listener_;
   mutable std::mutex mu_;
 };

@@ -94,20 +94,19 @@ SplitterServer::SplitterServer(Context& ctx, Config cfg)
   // Forward budget reclaims to the *current* epoch's bucket cache.  The
   // registration outlives every cache (they turn over per epoch), so a
   // reclaim can never race a cache destructor.
-  cache_reclaimer_id_ =
-      ctx_->budget().add_reclaimer([this](std::size_t need) -> std::size_t {
-        std::shared_ptr<BucketScanCache<Record>> cache;
-        {
-          const std::lock_guard<std::mutex> lock(mu_);
-          cache = bucket_cache_;
-        }
-        return cache ? cache->shed(need) : 0;
-      });
+  ctx_->budget().set_reclaimer([this](std::size_t need) -> std::size_t {
+    std::shared_ptr<BucketScanCache<Record>> cache;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      cache = bucket_cache_;
+    }
+    return cache ? cache->shed(need) : 0;
+  });
 }
 
 SplitterServer::~SplitterServer() {
   ctx_->budget().set_release_listener(nullptr);
-  ctx_->budget().remove_reclaimer(cache_reclaimer_id_);
+  ctx_->budget().set_reclaimer(nullptr);
   std::shared_ptr<BucketScanCache<Record>> cache;
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -492,10 +491,10 @@ SplitterServer::Reply SplitterServer::query_on(
 }
 
 SplitterServer::ParseKind SplitterServer::parse_query(const std::string& line,
+                                                      std::string& cmd,
                                                       Request& req,
                                                       std::string& err) const {
   std::istringstream in(line);
-  std::string cmd;
   in >> cmd;
   const auto u64_arg = [&](std::uint64_t& out) {
     std::string tok;
@@ -596,23 +595,10 @@ std::string SplitterServer::bad_line(const std::string& line,
   return "ERR " + why + "\n";
 }
 
-std::string SplitterServer::handle_line(const std::string& line,
-                                        std::uint64_t client,
-                                        bool& close_conn) {
-  Request req;
-  std::string err;
-  switch (parse_query(line, req, err)) {
-    case ParseKind::kQuery:
-      return format_reply(req, query(req, client));
-    case ParseKind::kBad:
-      return bad_line(line, client, err);
-    case ParseKind::kOther:
-      break;
-  }
-
-  std::istringstream in(line);
-  std::string cmd;
-  in >> cmd;
+std::string SplitterServer::handle_control(const std::string& cmd,
+                                           const std::string& line,
+                                           std::uint64_t client,
+                                           bool& close_conn) {
   if (cmd == "STATS") {
     std::string out = "OK epoch=" + std::to_string(epoch()) +
                       " n=" + std::to_string(size()) +
@@ -651,9 +637,10 @@ std::vector<std::string> SplitterServer::handle_batch(
   std::uint64_t pinned_epoch = 0;
   for (const std::string& line : lines) {
     if (close_conn) break;  // nothing after SHUTDOWN
+    std::string cmd;
     Request req;
     std::string err;
-    switch (parse_query(line, req, err)) {
+    switch (parse_query(line, cmd, req, err)) {
       case ParseKind::kQuery:
         // Consecutive query lines share one pinned snapshot: every reply in
         // the run carries the same epoch, and the bucket cache serves the
@@ -669,7 +656,7 @@ std::vector<std::string> SplitterServer::handle_batch(
         // Control lines run unpinned: REFRESH waits for every snapshot pin
         // to drain, and a connection must never deadlock against its own.
         pinned.reset();
-        outs.push_back(handle_line(line, client, close_conn));
+        outs.push_back(handle_control(cmd, line, client, close_conn));
         break;
     }
   }

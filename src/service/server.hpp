@@ -215,9 +215,10 @@ class SplitterServer {
                  const Request& req, std::uint64_t client);
   void accept_loop(int lfd, bool tcp);
   void serve_conn(int fd, std::uint64_t client);
-  /// Classify a line: query (req filled), control/unknown, or malformed
-  /// query (err filled).
-  [[nodiscard]] ParseKind parse_query(const std::string& line, Request& req,
+  /// Classify a line by its first word `cmd`: query (req filled),
+  /// control/unknown, or malformed query (err filled).
+  [[nodiscard]] ParseKind parse_query(const std::string& line,
+                                      std::string& cmd, Request& req,
                                       std::string& err) const;
   [[nodiscard]] std::string format_reply(const Request& req,
                                          const Reply& rep) const;
@@ -225,8 +226,12 @@ class SplitterServer {
   [[nodiscard]] std::string bad_line(const std::string& line,
                                      std::uint64_t client,
                                      const std::string& why);
-  [[nodiscard]] std::string handle_line(const std::string& line,
-                                        std::uint64_t client, bool& close_conn);
+  /// Answer a control line (STATS, EPOCH, REFRESH, SHUTDOWN) or reject an
+  /// unknown command; `cmd` is the word parse_query classified as kOther.
+  [[nodiscard]] std::string handle_control(const std::string& cmd,
+                                           const std::string& line,
+                                           std::uint64_t client,
+                                           bool& close_conn);
   /// Execute a pipelined batch of lines: consecutive queries share one
   /// pinned snapshot, control lines drop the pin first; responses in order.
   [[nodiscard]] std::vector<std::string> handle_batch(
@@ -264,7 +269,6 @@ class SplitterServer {
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> next_client_{0};
   std::atomic<std::uint16_t> tcp_port_{0};
-  std::uint64_t cache_reclaimer_id_ = 0;
   bool recovered_ = false;
 };
 

@@ -402,6 +402,19 @@ TEST_P(WorkerFaultSweep, EveryWorkerRoundPositionRecoversToIdenticalRun) {
     ASSERT_TRUE(ref.events.empty()) << tag;
     ASSERT_EQ(ref.io.worker_retries, 0u) << tag;
 
+    // Supervision armed with no fault injected is bookkeeping, never
+    // geometry or output: the unsupervised run's bytes, bounds and base I/O,
+    // no re-executed volume and no supervision events.
+    WorkerTuning at_rest = fault_free;
+    at_rest.max_worker_retries = 2;
+    at_rest.worker_timeout = 30;
+    const SweepRun armed = run_supervised(path, partition, host, at_rest);
+    EXPECT_EQ(armed.bytes, ref.bytes) << tag << "/at-rest";
+    EXPECT_EQ(armed.bounds, ref.bounds) << tag << "/at-rest";
+    EXPECT_EQ(armed.io.base(), ref.io.base()) << tag << "/at-rest";
+    EXPECT_EQ(armed.io.worker_retries, 0u) << tag << "/at-rest";
+    EXPECT_TRUE(armed.events.empty()) << tag << "/at-rest";
+
     for (const WorkerFault fault :
          {WorkerFault::kKill, WorkerFault::kHang, WorkerFault::kCorrupt}) {
       // Rounds are discovered by sweeping upward until an injection at

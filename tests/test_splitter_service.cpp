@@ -310,10 +310,13 @@ TEST_P(SplitterServiceMatrix, ConcurrentScriptIsDeterministic) {
     ref.push_back(std::move(rep));
   }
 
-  // Concurrent pass: T threads replay the script; answers and per-query
-  // base I/O must be bit-identical to the serial pass for every thread.
+  // Concurrent pass: T threads replay the script, once query by query and
+  // once as one pipelined query_batch() (a single pinned snapshot); answers
+  // and per-query base I/O must be bit-identical to the serial pass for
+  // every thread and both paths.
   constexpr std::size_t kThreads = 4;
   std::vector<std::vector<SplitterServer::Reply>> got(kThreads);
+  std::vector<std::vector<SplitterServer::Reply>> batched(kThreads);
   {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
@@ -323,28 +326,38 @@ TEST_P(SplitterServiceMatrix, ConcurrentScriptIsDeterministic) {
         for (const auto& q : script) {
           got[t].push_back(server.query(q, /*client=*/t + 1));
         }
+        batched[t] = server.query_batch(script, /*client=*/t + 1);
       });
     }
     for (auto& th : threads) th.join();
   }
 
   IoStats concurrent_sum;
+  IoStats batched_sum;
   for (std::size_t t = 0; t < kThreads; ++t) {
     ASSERT_EQ(got[t].size(), script.size());
+    ASSERT_EQ(batched[t].size(), script.size());
     for (std::size_t i = 0; i < script.size(); ++i) {
       const auto& a = ref[i];
-      const auto& b = got[t][i];
-      const std::string tag = std::string(service_backend_name(backend)) +
-                              (use_cache ? "/cache" : "/nocache") +
-                              " thread " + std::to_string(t) + " query " +
-                              std::to_string(i);
-      ASSERT_TRUE(b.ok) << tag << ": " << b.error;
-      EXPECT_EQ(b.value, a.value) << tag;
-      EXPECT_EQ(b.hist.sizes, a.hist.sizes) << tag;
-      EXPECT_EQ(b.hist.boundaries, a.hist.boundaries) << tag;
-      EXPECT_EQ(b.records, a.records) << tag;
-      EXPECT_EQ(b.io.base().reads, a.io.base().reads) << tag;
-      concurrent_sum += b.io;
+      for (const bool via_batch : {false, true}) {
+        const auto& b = via_batch ? batched[t][i] : got[t][i];
+        const std::string tag = std::string(service_backend_name(backend)) +
+                                (use_cache ? "/cache" : "/nocache") +
+                                (via_batch ? "/batch" : "/query") +
+                                " thread " + std::to_string(t) + " query " +
+                                std::to_string(i);
+        ASSERT_TRUE(b.ok) << tag << ": " << b.error;
+        EXPECT_EQ(b.value, a.value) << tag;
+        EXPECT_EQ(b.hist.sizes, a.hist.sizes) << tag;
+        EXPECT_EQ(b.hist.boundaries, a.hist.boundaries) << tag;
+        EXPECT_EQ(b.records, a.records) << tag;
+        EXPECT_EQ(b.io.base().reads, a.io.base().reads) << tag;
+        // A batch pins one snapshot: every reply carries its epoch.
+        if (via_batch) {
+          EXPECT_EQ(b.epoch, batched[t].front().epoch) << tag;
+        }
+        (via_batch ? batched_sum : concurrent_sum) += b.io;
+      }
     }
   }
   // The schedule-independence contract: summed per-query base I/O is T
@@ -352,7 +365,9 @@ TEST_P(SplitterServiceMatrix, ConcurrentScriptIsDeterministic) {
   EXPECT_EQ(concurrent_sum.base().reads,
             kThreads * serial_sum.base().reads);
   EXPECT_EQ(concurrent_sum.base().writes, 0u);
-  EXPECT_EQ(server.served(), (kThreads + 1) * script.size());
+  EXPECT_EQ(batched_sum.base().reads, kThreads * serial_sum.base().reads);
+  EXPECT_EQ(batched_sum.base().writes, 0u);
+  EXPECT_EQ(server.served(), (2 * kThreads + 1) * script.size());
   EXPECT_EQ(server.shed(), 0u);
   EXPECT_EQ(server.bucket_cache() != nullptr, use_cache);
 
